@@ -38,14 +38,14 @@ must prune at least half of the shard pairs or rescored rows.
 injected worker crash (shard 1, attempt 1) and an injected hang pushing
 shard 2 past its wall-clock budget, run serially so the attempt ledger
 is deterministic.  The session must self-heal — complete via exactly one
-retry per fault, undegraded, with checkpoints written and the merged
+retry per fault, undegraded, with its shard stores written and the merged
 recall floors intact — which CI asserts on every push, not only when a
 fault happens to occur in the wild.
 
 ``--store-rss N`` runs the out-of-core memory probe (the ``store``
 section, gated by ``check_regression.py``): the same N-shard
 default-scale session twice — once in-memory (workers return whole
-``BuildArtifacts``), once store-backed (``store_backend="sqlite"``:
+``BuildArtifacts``), once store-backed (``store_dir`` set:
 workers persist into the artifact store and return path handles, the
 parent opens shards lazily over mmap and streams merged candidates into
 SQLite).  Each run happens in its own spawned subprocess so
@@ -317,7 +317,7 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
     shard 2 past the ``CHAOS_TIMEOUT`` wall-clock budget, then requires
     the session to complete through the supervisor's retries: exactly
     one retry per fault (serial execution keeps the ledger
-    deterministic), no degradation, checkpoints saved, merged recall at
+    deterministic), no degradation, shard stores adopted, merged recall at
     the same floors the healthy sharding section is held to.
     ``check_regression.py`` gates all of that from the recorded section.
     """
@@ -360,7 +360,8 @@ def _record_chaos(n_shards: int, seed: int) -> dict:
                     shard_timeout=CHAOS_TIMEOUT,
                     max_attempts=3,
                     retry_backoff=0.1,
-                    checkpoint_dir=Path(scratch) / "checkpoints",
+                    store_dir=Path(scratch) / "store",
+                    store_backend="sqlite",
                 ).build()
             )
             recall, join_recall = _merged_recall(session)

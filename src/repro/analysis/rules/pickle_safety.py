@@ -1,9 +1,9 @@
 """Pickle-safety rules for process-pool boundary modules.
 
 Shard builds run in worker processes: ``build_one_corpus`` arguments and
-returns, the ``ReproError`` hierarchy, fault plans and checkpoint
-payloads all cross the pool boundary through ``pickle``.  These rules
-apply only to *boundary* modules — selected by the engine's
+returns, the ``ReproError`` hierarchy, fault plans and store handles all
+cross the pool boundary through ``pickle``.  PKL001–PKL003 apply only to
+*boundary* modules — selected by the engine's
 ``boundary_globs`` configuration (by default ``repro/errors.py``,
 ``repro/core/builder.py`` and everything under ``repro/shard/``) or by
 an explicit ``# repro-lint: boundary`` marker comment in the file.
@@ -18,6 +18,12 @@ an explicit ``# repro-lint: boundary`` marker comment in the file.
   extra positional state breaks the default ``Exception`` reduction
   (which replays ``self.args`` only), so the class must define
   ``__reduce__`` (directly or via an in-module base).
+* **PKL004** — ``pickle.load`` / ``pickle.loads`` in any module.  The
+  artifact store (:mod:`repro.io.store`) is the only on-disk format, and
+  it verifies every payload's sha256 before reading it; unpickling a
+  file or byte string would bring back an unverified second format.
+  Pickling in memory across the pool boundary is the executor's own
+  business and is not flagged.
 """
 
 from __future__ import annotations
@@ -195,3 +201,29 @@ class ExceptionReduceRule(Rule):
             if base is not None and self._defines_reducer(base, classes):
                 return True
         return False
+
+
+_UNPICKLERS = {"pickle.load", "pickle.loads"}
+
+
+@register
+class UnpickleRule(Rule):
+    rule_id = "PKL004"
+    title = "pickle deserialization"
+    hint = (
+        "persist through repro.io.store (write_store / ArtifactStore), the "
+        "one on-disk format, which verifies its payloads before reading"
+    )
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            qualified = module.resolve(node.func)
+            if qualified in _UNPICKLERS:
+                yield self.finding(
+                    module,
+                    node,
+                    f"`{qualified}` reads a pickle payload — the artifact "
+                    "store is the only on-disk format",
+                )

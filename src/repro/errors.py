@@ -21,9 +21,6 @@ hierarchy encodes those three classes:
   :class:`ShardTimeoutError` (wall-clock budget exceeded) and
   :class:`ShardRetriesExhaustedError` (budget spent, final state) refine
   it.
-* :class:`CheckpointError` — a shard checkpoint that exists but cannot
-  be trusted (manifest/payload fingerprint mismatch) when the caller
-  asked for strict verification.
 * :class:`StoreError` — an on-disk artifact store that refuses to open:
   truncated sidecar, schema-version mismatch, manifest/sha mismatch, or
   a concurrent second writer holding the store's write lock.
@@ -56,7 +53,6 @@ __all__ = [
     "ShardCrashError",
     "ShardTimeoutError",
     "ShardRetriesExhaustedError",
-    "CheckpointError",
     "StoreError",
     "ServiceError",
     "ServiceOverloadError",
@@ -204,18 +200,14 @@ class ShardRetriesExhaustedError(ShardBuildError):
     """
 
 
-class CheckpointError(ReproError):
-    """A shard checkpoint exists but failed verification."""
-
-
 class StoreError(ReproError):
     """An on-disk artifact store cannot be opened (or written) safely.
 
     Raised by :mod:`repro.io.store` when a store is truncated, carries a
     different schema version, fails its streamed sha256 verification, or
     is locked by a concurrent writer.  Session-level callers treat an
-    unverifiable store like a missing checkpoint (rebuild the shard);
-    strict callers surface this error instead.
+    unverifiable store like a missing one (rebuild the shard); strict
+    callers surface this error instead.
     """
 
 

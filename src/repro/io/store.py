@@ -26,8 +26,8 @@ atomically renamed, the manifest last — a writer killed mid-store leaves
 either no manifest (store ignored) or a complete pair whose streamed
 sha256 verification decides trust.  A store that fails verification is
 *refused* with a typed :class:`~repro.errors.StoreError` in strict mode
-and treated as missing (rebuild the shard) otherwise — exactly the
-checkpoint contract, now queryable.
+and treated as missing (rebuild the shard) otherwise: the store is the
+session's crash-resume checkpoint, and the only on-disk format.
 
 :class:`StoredShard` is the read side: duck-type compatible with the
 slice of :class:`~repro.core.builder.BuildArtifacts` the shard session
@@ -87,7 +87,7 @@ __all__ = [
     "OFFER_COLUMNS",
 ]
 
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 
 _MANIFEST = "manifest.json"
 _DB = "shard.db"
@@ -114,8 +114,7 @@ def row_to_offer(row: Iterable) -> ProductOffer:
 
 
 # --------------------------------------------------------------------- #
-# Config fingerprints (moved here from shard/checkpoint.py — the store is
-# the layer both checkpoints and sessions key resume identity on).
+# Config fingerprints — the identity a session keys shard resume on.
 # --------------------------------------------------------------------- #
 def _jsonable(value: Any) -> Any:
     """A stable, JSON-serializable projection of a config value tree."""
@@ -137,10 +136,14 @@ def config_fingerprint(config: "BuildConfig") -> str:
     """sha256 over the config's stable JSON projection.
 
     Two configs fingerprint equally iff every field (nested dataclasses,
-    enums and tuples included) is equal — the identity a checkpoint or
-    store is keyed on.
+    enums and tuples included) but ``store_dir`` is equal — the identity
+    a store is keyed on.  ``store_dir`` says where a build is persisted,
+    not what it builds, so a session root still resumes after it is
+    moved or copied.
     """
-    payload = json.dumps(_jsonable(config), sort_keys=True).encode()
+    projection = _jsonable(config)
+    projection.pop("store_dir", None)
+    payload = json.dumps(projection, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -1151,10 +1154,20 @@ class StoredShard:
 class ArtifactStore:
     """Directory of per-shard stores plus the session-level merged views.
 
-    One ``ArtifactStore`` roots a sharded session: ``shard-0000/``,
-    ``shard-0001/``, … hold each shard's store, and ``merged.db`` (written
-    by the sweep's merged-candidate sink) the session-level candidate
-    tables.  The per-shard layout is exactly :func:`write_store`'s.
+    One ``ArtifactStore`` roots a sharded session and owns its layout:
+    ``shard-0000/``, ``shard-0001/``, … hold each shard's store, and
+    ``merged.db`` (written by the sweep's merged-candidate sink) the
+    session-level candidate tables.  The per-shard layout is exactly
+    :func:`write_store`'s.
+
+    It is also the session's crash-resume checkpoint.  A shard store is
+    keyed on its *base* fingerprint — the fingerprint of the config the
+    plan assigned the shard, not of the config that built it.  A
+    corner-selection retry respawns the shard's seeds, but the respawn
+    chain is a deterministic function of ``(session_seed, shard,
+    attempt)``, so the store is still *the* outcome of the planned shard
+    and resuming must accept it.  :meth:`adopt` re-keys a worker-written
+    store on the plan's fingerprint; :meth:`open_shard` loads it back.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -1187,6 +1200,42 @@ class ArtifactStore:
             clock=clock,
         )
 
+    def adopt(
+        self,
+        shard: int,
+        stored: "StoredShard",
+        *,
+        base_fingerprint: str,
+        attempt: int,
+        elapsed: float,
+    ) -> dict:
+        """Commit a store a worker already wrote into ``shard``'s directory.
+
+        Amends the manifest with the plan's resume key and the attempt
+        ledger; no payload file is rewritten.  A store anywhere else is
+        refused with :class:`~repro.errors.StoreError`.
+        """
+        directory = self.shard_dir(shard)
+        if (
+            not isinstance(stored, StoredShard)
+            or stored.directory.resolve() != directory.resolve()
+        ):
+            raise StoreError(
+                f"cannot adopt shard {shard} store at "
+                f"{getattr(stored, 'directory', stored)}: the session "
+                f"expects it at {directory}"
+            )
+        manifest = amend_manifest(
+            directory,
+            shard=shard,
+            base_fingerprint=base_fingerprint,
+            attempt=attempt,
+            elapsed=elapsed,
+        )
+        stored.manifest = manifest
+        stored.shard = shard
+        return manifest
+
     def open_shard(
         self,
         shard: int,
@@ -1194,10 +1243,18 @@ class ArtifactStore:
         base_fingerprint: str | None = None,
         strict: bool = False,
     ) -> StoredShard | None:
+        """The verified store of ``shard``, or ``None`` (rebuild it).
+
+        A shard with no manifest is simply not built yet, so it comes
+        back as ``None`` even with ``strict=True``; a present store
+        that fails verification raises :class:`~repro.errors.StoreError`
+        in strict mode.
+        """
+        directory = self.shard_dir(shard)
+        if not (directory / _MANIFEST).exists():
+            return None
         return open_store(
-            self.shard_dir(shard),
-            base_fingerprint=base_fingerprint,
-            strict=strict,
+            directory, base_fingerprint=base_fingerprint, strict=strict
         )
 
     def completed_shards(self, configs) -> list[int]:

@@ -11,20 +11,14 @@ corpus / engine) plug into the existing recall and experiment runners
 unchanged.
 
 The cross-shard sweep runs in ``"signature"`` mode by default: a global
-two-level :class:`SignatureIndex` (prefix signatures under a merged
-frequency order, per-token length windows) prunes shard pairs and row
-blocks before any engine concatenation — see
+:class:`SignatureIndex` (prefix signatures under a merged frequency
+order, per-token length windows) prunes row blocks — and skips a shard
+pair whose block comes back empty — before any engine concatenation; see
 :mod:`repro.shard.signature_index` and
 :mod:`repro.similarity.signatures`.  ``sweep_mode="exhaustive"``
 restores the historical full bipartite sweep.
 """
 
-from repro.shard.checkpoint import (
-    CHECKPOINT_BACKENDS,
-    CHECKPOINT_SCHEMA,
-    ShardCheckpointStore,
-    config_fingerprint,
-)
 from repro.shard.faults import (
     FAULT_KINDS,
     FAULT_PLAN_ENV,
@@ -91,10 +85,6 @@ __all__ = [
     "SessionHealth",
     "respawn_config",
     "FAILURE_POLICIES",
-    "ShardCheckpointStore",
-    "config_fingerprint",
-    "CHECKPOINT_SCHEMA",
-    "CHECKPOINT_BACKENDS",
     "FaultPlan",
     "FaultSpec",
     "FAULT_KINDS",

@@ -23,7 +23,7 @@ shard completion order (pinned in ``tests/shard/test_session.py``).
 Fault tolerance: shard builds run under a
 :class:`~repro.shard.supervisor.ShardSupervisor` — wall-clock timeouts,
 a per-shard retry budget with exponential backoff, process-pool recovery
-and (with ``checkpoint_dir``) crash-resume from per-shard checkpoints.
+and (with ``store_dir``) crash-resume from the per-shard stores.
 Transient failures retry the same config (deterministic builds make the
 retry reproduce the lost attempt byte-for-byte), corner-selection
 exhaustion retries with seeds respawned from ``(session_seed, shard,
@@ -43,7 +43,7 @@ from repro.blocking.candidates import BlockedPairSet
 from repro.core.benchmark import WDCProductsBenchmark
 from repro.core.builder import BuildArtifacts
 from repro.corpus.schema import SyntheticCorpus
-from repro.shard.checkpoint import ShardCheckpointStore
+from repro.io.store import ArtifactStore
 from repro.shard.faults import FaultPlan
 from repro.shard.merge import (
     MergedCandidates,
@@ -468,18 +468,18 @@ class ShardedBenchmarkSession:
     ``shard_timeout`` form the :class:`RetryPolicy`, ``failure_policy``
     chooses between surfacing the first exhausted shard (``"raise"``,
     the default) and completing over the survivors (``"degrade"``),
-    ``checkpoint_dir`` enables per-shard crash-resume checkpoints, and
-    ``fault_plan`` / ``sleep`` are test-only injection points.
+    and ``fault_plan`` / ``sleep`` are test-only injection points.
 
-    ``store_dir`` + ``store_backend="sqlite"`` switch the session
+    ``store_dir`` (with ``store_backend="sqlite"``, the one value that
+    goes with it) is the one persistence knob.  It switches the session
     out-of-core: each worker persists its shard into the queryable
     artifact store (:mod:`repro.io.store`) and returns only a path
     handle + signature summary across the pool boundary — the parent
     opens shards lazily (mmap engine, SQL-backed benchmark/splits) and
-    the sweep streams merged candidates into ``<store_dir>/merged.db``
-    instead of materializing them.  The store doubles as the
-    crash-resume checkpoint, so ``checkpoint_dir``, when also given,
-    must name the same directory.
+    the sweep streams merged candidates into the store's ``merged.db``
+    instead of materializing them.  The store is also the crash-resume
+    checkpoint: a session over an existing ``store_dir`` loads every
+    shard that verifies and rebuilds only the rest.
     """
 
     def __init__(
@@ -498,7 +498,6 @@ class ShardedBenchmarkSession:
         retry_backoff: float = 0.5,
         backoff_cap: float = 8.0,
         failure_policy: str = "raise",
-        checkpoint_dir: Path | str | None = None,
         store_dir: Path | str | None = None,
         store_backend: str = "pickle",
         fault_plan: FaultPlan | None = None,
@@ -534,25 +533,11 @@ class ShardedBenchmarkSession:
             raise ValueError("store_backend='sqlite' requires store_dir")
         if store_dir is not None and store_backend != "sqlite":
             raise ValueError(
-                "store_dir requires store_backend='sqlite' (the pickle "
-                "backend persists via checkpoint_dir)"
+                "store_dir requires store_backend='sqlite' (the default "
+                "'pickle' keeps the session in memory)"
             )
         self.store_backend = store_backend
         self.store_dir = Path(store_dir) if store_dir is not None else None
-        self.checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        if self.store_dir is not None:
-            if (
-                self.checkpoint_dir is not None
-                and self.checkpoint_dir.resolve() != self.store_dir.resolve()
-            ):
-                raise ValueError(
-                    "store_dir and checkpoint_dir must agree: the sqlite "
-                    "store is itself the crash-resume checkpoint"
-                )
-            # The store doubles as the checkpoint root.
-            self.checkpoint_dir = self.store_dir
         self.fault_plan = fault_plan
         self.sleep = sleep
         # Validates the threshold range once, at construction time.
@@ -612,22 +597,14 @@ class ShardedBenchmarkSession:
         supervisor's timing rows (``shard:retries``, ``checkpoint:*``).
         """
         configs = list(self.plan.shard_configs)
-        store = None
-        if self.checkpoint_dir is not None:
-            store = ShardCheckpointStore(
-                self.checkpoint_dir, backend=self.store_backend
-            )
-        if self.store_dir is not None:
+        store = self._store()
+        if store is not None:
             # Out-of-core mode: each worker writes its shard store into
             # its own directory and returns a path handle — the rewrite
-            # happens *before* supervision so retries, checkpoints and
-            # config fingerprints all see the store-backed config.
+            # happens *before* supervision so retries, resume and config
+            # fingerprints all see the store-backed config.
             configs = [
-                replace(
-                    config,
-                    store_dir=str(store.shard_dir(shard)),
-                    store_backend="sqlite",
-                )
+                replace(config, store_dir=str(store.shard_dir(shard)))
                 for shard, config in enumerate(configs)
             ]
         supervisor = ShardSupervisor(
@@ -638,7 +615,7 @@ class ShardedBenchmarkSession:
             policy=self.retry_policy,
             failure_policy=self.failure_policy,
             fault_plan=self.fault_plan,
-            checkpoint_store=store,
+            store=store,
             with_signatures=self.sweep_mode == "signature",
             sleep=self.sleep,
         )
@@ -661,6 +638,9 @@ class ShardedBenchmarkSession:
             dict(supervisor.stage_timings),
         )
 
+    def _store(self) -> ArtifactStore | None:
+        return None if self.store_dir is None else ArtifactStore(self.store_dir)
+
     def _sweep(
         self,
         shard_ids: list[int],
@@ -670,17 +650,18 @@ class ShardedBenchmarkSession:
     ) -> tuple[MergedCandidates, MergedCandidates, SweepPruneStats]:
         """Per-shard joins + cross-shard pair sweeps, merged both ways.
 
-        In store-backed mode the merged sets are streamed into
-        ``<store_dir>/merged.db`` and come back as lazy
+        In store-backed mode the merged sets are streamed into the
+        store's ``merged.db`` and come back as lazy
         :class:`~repro.shard.merge.StoredMergedCandidates` query views.
         """
         universes = [
             shard_universe(artifacts, shard)
             for shard, artifacts in zip(shard_ids, shards)
         ]
+        store = self._store()
         sink = None
-        if self.store_dir is not None:
-            sink = MergedCandidateStore(self.store_dir / "merged.db")
+        if store is not None:
+            sink = MergedCandidateStore(store.merged_path())
         try:
             return _sweep_universes(
                 universes,
@@ -714,7 +695,7 @@ class ShardedBenchmarkSession:
         timings["shards"] = timer.elapsed
         timings.update(supervisor_timings)
         for shard, artifacts in zip(shard_ids, shards):
-            # Checkpoint-loaded shards spent no build time this session;
+            # Store-loaded shards spent no build time this session;
             # their historical stage rows would only distort budgets.
             if health.statuses.get(shard) == "checkpoint":
                 continue

@@ -1,29 +1,26 @@
-"""The global two-level signature index behind the cross-shard sweep.
+"""The global signature index behind the cross-shard sweep.
 
 The exhaustive sweep concatenates C(N, 2) engine pairs and runs a full
 top-k join per pair — quadratic in shards and, within each pair, bilinear
 in rows.  The signature index replaces that sweep's *universe* with the
-rows that can actually collide:
+rows that can actually collide.
 
-* **Level one — shard summaries.**  Every shard contributes a
-  :class:`~repro.similarity.signatures.RowSignatures` summary (token
-  document counts + CSR row structure; built next to the shard, inside
-  the worker process that built it).  The index merges the counts into
-  one global frequency order and keeps, per shard, a prefix-token
-  bitmap and per-token set-size ranges.  A shard *pair* whose prefix
-  bitmaps are disjoint can be skipped outright — no engine is ever
-  concatenated for it.
-* **Level two — row blocks.**  For a surviving pair, a row of shard
-  ``i`` stays in the block only if one of its prefix tokens also
-  prefixes some row of shard ``j`` whose set size lies inside the row's
-  length window.  The check is exact per ``(token, size)``: every
-  shard's prefix entries are kept as a sorted array of
-  ``token_id·M + set_size`` keys, so "does the other shard hold this
-  token at a compatible size" is one segmented binary search — nothing
-  quadratic is materialized.  The sweep then rescores only the
-  surviving block through the ordinary
-  :class:`~repro.blocking.candidates.CandidateBlocker` /
-  :meth:`~repro.similarity.engine.SimilarityEngine.concat` path.
+Every shard contributes a
+:class:`~repro.similarity.signatures.RowSignatures` summary (token
+document counts + CSR row structure; built next to the shard, inside the
+worker process that built it).  The index merges the counts into one
+global frequency order and keeps, per shard, its prefix entries.  For a
+shard pair, a row of shard ``i`` stays in the block only if one of its
+prefix tokens also prefixes some row of shard ``j`` whose set size lies
+inside the row's length window.  The check is exact per ``(token,
+size)``: every shard's prefix entries are kept as a sorted array of
+``token_id·M + set_size`` keys, so "does the other shard hold this token
+at a compatible size" is one segmented binary search — nothing quadratic
+is materialized.  A pair with an empty block on either side is skipped
+outright (no engine is ever concatenated for it); otherwise the sweep
+rescores only the surviving block through the ordinary
+:class:`~repro.blocking.candidates.CandidateBlocker` /
+:meth:`~repro.similarity.engine.SimilarityEngine.concat` path.
 
 Soundness (see :mod:`repro.similarity.signatures`): any cross-shard
 pair reaching the admission threshold under an exact-token metric keeps
@@ -131,7 +128,6 @@ class _ShardEntry:
         "rows",
         "global_ids",
         "set_sizes",
-        "token_mask",
         "entry_keys",
         "size_modulus",
         "empty_rows",
@@ -142,7 +138,6 @@ class _ShardEntry:
         self,
         summary: RowSignatures,
         local_to_global: np.ndarray,
-        n_global: int,
         threshold: float,
         size_modulus: int,
     ) -> None:
@@ -153,9 +148,7 @@ class _ShardEntry:
             local_to_global, threshold
         )
         self.empty_rows = np.flatnonzero(summary.set_sizes == 0)
-        self.token_mask = np.zeros(n_global, dtype=bool)
         if self.global_ids.size:
-            self.token_mask[self.global_ids] = True
             sizes = summary.set_sizes[self.rows].astype(np.int64)
             self.entry_keys = np.sort(
                 self.global_ids.astype(np.int64) * size_modulus + sizes
@@ -165,7 +158,7 @@ class _ShardEntry:
 
 
 class SignatureIndex:
-    """Candidate shard pairs and row blocks from merged signatures.
+    """Candidate row blocks of shard pairs from merged signatures.
 
     Built once per sweep from every universe's
     :class:`RowSignatures` summary; ``threshold`` is the top-k admission
@@ -207,7 +200,6 @@ class SignatureIndex:
                 _ShardEntry(
                     summary,
                     local_to_global,
-                    self.n_tokens,
                     self.threshold,
                     size_modulus,
                 )
@@ -216,13 +208,6 @@ class SignatureIndex:
     @property
     def n_shards(self) -> int:
         return len(self._entries)
-
-    def shard_pair_survives(self, i: int, j: int) -> bool:
-        """Level one: can *any* row of ``i`` collide with any row of ``j``?"""
-        entry_i, entry_j = self._entries[i], self._entries[j]
-        if entry_i.empty_rows.size and entry_j.empty_rows.size:
-            return True  # empty-empty pairs score 1.0 under Dice
-        return bool(np.any(entry_i.token_mask & entry_j.token_mask))
 
     def _surviving_rows(self, entry, other) -> np.ndarray:
         """Rows of ``entry`` with a prefix/length collision into ``other``.
@@ -259,16 +244,13 @@ class SignatureIndex:
     def candidate_block(
         self, i: int, j: int
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Level two: the row block of pair ``(i, j)``, or ``None``.
+        """The row block of pair ``(i, j)``, or ``None``.
 
-        ``None`` means the pair is skipped entirely — either the shard
-        summaries cannot collide at all (level one) or no individual row
-        survives the token/length filter on one of the sides.  When a
-        block comes back, any admissible pair (exact-token similarity ≥
-        the threshold) has both of its rows inside it.
+        ``None`` means the pair is skipped entirely: no row survives the
+        token/length filter on one of the sides.  When a block comes
+        back, any admissible pair (exact-token similarity ≥ the
+        threshold) has both of its rows inside it.
         """
-        if not self.shard_pair_survives(i, j):
-            return None
         entry_i, entry_j = self._entries[i], self._entries[j]
         rows_i = self._surviving_rows(entry_i, entry_j)
         if rows_i.size == 0:

@@ -31,10 +31,10 @@ executors cannot preempt a running build and classify post-hoc on the
 attempt's measured elapsed time (the worker-side build clock, so queue
 wait is never billed as build time).
 
-With a :class:`~repro.shard.checkpoint.ShardCheckpointStore` attached,
-verified checkpoints are loaded up front (those shards never enter the
-build waves) and every freshly built shard is persisted on completion —
-a killed session resumes by rebuilding only what is missing.
+With an :class:`~repro.io.store.ArtifactStore` attached, verified shard
+stores are loaded up front (those shards never enter the build waves)
+and every freshly built shard's store is adopted on completion — a
+killed session resumes by rebuilding only what is missing.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ from repro.errors import (
     ShardRetriesExhaustedError,
     ShardTimeoutError,
 )
-from repro.io.store import StoredShardHandle
-from repro.shard.checkpoint import ShardCheckpointStore
+from repro.io.store import ArtifactStore, StoredShardHandle, config_fingerprint
 from repro.shard.faults import FaultPlan
 from repro.similarity.signatures import RowSignatures
 from repro.utils.timer import Timer
@@ -241,10 +240,7 @@ def _build_one_shard(
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     if plan is not None:
         plan.inject(shard, attempt)
-    store_backed = (
-        config.store_dir is not None and config.store_backend == "sqlite"
-    )
-    if store_backed:
+    if config.store_dir:
         # This worker owns the shard's store directory exclusively (the
         # supervisor never runs two attempts of one shard concurrently),
         # so a present writer.lock can only be stale debris from a
@@ -258,7 +254,7 @@ def _build_one_shard(
     summary = None
     if with_signatures and artifacts.engine is not None:
         summary = RowSignatures.from_engine(artifacts.engine)
-    if store_backed:
+    if config.store_dir:
         # Lazy-open contract: only the summary and a two-field handle
         # cross the pool boundary back to the parent — never the built
         # artifact graph (build_one_corpus already persisted the store).
@@ -295,7 +291,7 @@ class ShardSupervisor:
         policy: RetryPolicy | None = None,
         failure_policy: str = "raise",
         fault_plan: FaultPlan | None = None,
-        checkpoint_store: ShardCheckpointStore | None = None,
+        store: ArtifactStore | None = None,
         with_signatures: bool = True,
         sleep=time.sleep,
         build_fn=None,
@@ -316,7 +312,7 @@ class ShardSupervisor:
         self.policy = policy if policy is not None else RetryPolicy()
         self.failure_policy = failure_policy
         self.fault_plan = fault_plan
-        self.checkpoint_store = checkpoint_store
+        self.store = store
         self.with_signatures = with_signatures
         self.sleep = sleep
         self.build_fn = build_fn if build_fn is not None else _build_one_shard
@@ -506,22 +502,19 @@ class ShardSupervisor:
         save_seconds = 0.0
         pending: dict[int, _Pending] = {}
         for shard, config in enumerate(self.configs):
-            if self.checkpoint_store is not None:
+            if self.store is not None:
                 with Timer() as timer:
-                    loaded = self.checkpoint_store.load(
-                        shard, base_config=config
+                    stored = self.store.open_shard(
+                        shard, base_fingerprint=config_fingerprint(config)
                     )
                 load_seconds += timer.elapsed
-                if loaded is not None:
-                    artifacts, summary, manifest = loaded
-                    if self.with_signatures and summary is None:
-                        # Checkpoint written by an exhaustive-mode session;
-                        # the sweep fills missing summaries on demand.
-                        pass
+                if stored is not None:
+                    # No summary: the sweep rebuilds it off the store's
+                    # mmap engine on demand.
                     outcomes[shard] = ShardOutcome(
                         shard=shard,
-                        artifacts=artifacts,
-                        summary=summary,
+                        artifacts=stored,
+                        summary=None,
                         attempts=(),
                         source="checkpoint",
                         config=config,
@@ -580,14 +573,14 @@ class ShardSupervisor:
                                 config=state.config,
                             )
                             del pending[shard]
-                            if self.checkpoint_store is not None:
+                            if self.store is not None:
                                 with Timer() as timer:
-                                    self.checkpoint_store.save(
+                                    self.store.adopt(
                                         shard,
                                         artifacts,
-                                        summary,
-                                        base_config=self.configs[shard],
-                                        built_config=state.config,
+                                        base_fingerprint=config_fingerprint(
+                                            self.configs[shard]
+                                        ),
                                         attempt=state.attempt,
                                         elapsed=build_elapsed,
                                     )
@@ -670,7 +663,7 @@ class ShardSupervisor:
                 self._pool.shutdown(wait=True, cancel_futures=True)
                 self._pool = None
             self.stage_timings["shard:retries"] = float(self.retries)
-            if self.checkpoint_store is not None:
+            if self.store is not None:
                 self.stage_timings["checkpoint:load"] = load_seconds
                 self.stage_timings["checkpoint:save"] = save_seconds
 

@@ -24,7 +24,6 @@ from repro.similarity.character_based import (
 )
 from repro.similarity.embedding import LsaEmbeddingModel
 from repro.similarity.engine import SimilarityEngine
-from repro.similarity.index import TitleSimilaritySearch
 from repro.similarity.registry import SimilarityMetric, SimilarityRegistry
 from repro.similarity.signatures import (
     SIGNATURE_SAFE_METRICS,
@@ -49,7 +48,6 @@ __all__ = [
     "SimilarityEngine",
     "SimilarityMetric",
     "SimilarityRegistry",
-    "TitleSimilaritySearch",
     "RowSignatures",
     "SIGNATURE_SAFE_METRICS",
     "global_token_order",

@@ -1,17 +1,36 @@
-"""Shard checkpoints: atomic commit, verification, fingerprint gating."""
+"""The session store as checkpoint: resume keys, adoption, verification.
 
+A sharded session persists and resumes through one
+:class:`~repro.io.store.ArtifactStore`: workers write each shard's store,
+the supervisor adopts it under the plan's config fingerprint, and a
+resumed session opens every shard that still verifies.
+"""
+
+import copy
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core import BuildConfig
-from repro.errors import CheckpointError
-from repro.shard import (
-    CHECKPOINT_SCHEMA,
-    ShardCheckpointStore,
+from repro.core.builder import BenchmarkBuilder
+from repro.errors import StoreError
+from repro.io.store import (
+    STORE_SCHEMA,
+    ArtifactStore,
+    StoredShard,
     config_fingerprint,
-    respawn_config,
+    open_store,
+    write_store,
 )
+from repro.shard import respawn_config
+
+pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    return BenchmarkBuilder(BuildConfig.small(n_products=30)).build()
 
 
 @pytest.fixture
@@ -21,11 +40,20 @@ def base_config():
 
 @pytest.fixture
 def store(tmp_path):
-    return ShardCheckpointStore(tmp_path / "ckpt")
+    return ArtifactStore(tmp_path / "ckpt")
 
 
-ARTIFACTS = {"rows": [1, 2, 3], "label": "shard payload"}
-SUMMARY = ("signature", "summary")
+def _save(store, shard, artifacts, **kwargs):
+    store.save(
+        shard,
+        artifacts,
+        base_fingerprint=config_fingerprint(artifacts.config),
+        **kwargs,
+    )
+
+
+def _manifest(store, shard):
+    return json.loads((store.shard_dir(shard) / "manifest.json").read_text())
 
 
 class TestConfigFingerprint:
@@ -42,207 +70,215 @@ class TestConfigFingerprint:
             base_config
         )
 
+    def test_store_dir_does_not_change_the_fingerprint(self, base_config):
+        # Where a shard is persisted is not what it builds: a moved or
+        # copied session root still resumes.
+        moved = replace(base_config, store_dir="/elsewhere/shard-0000")
+        assert config_fingerprint(moved) == config_fingerprint(base_config)
+
 
 class TestSaveLoad:
-    def test_round_trip(self, store, base_config):
-        store.save(3, ARTIFACTS, SUMMARY, base_config=base_config)
-        loaded = store.load(3, base_config=base_config)
-        assert loaded is not None
-        artifacts, summary, manifest = loaded
-        assert artifacts == ARTIFACTS
-        assert summary == SUMMARY
-        assert manifest["schema"] == CHECKPOINT_SCHEMA
+    def test_round_trip(self, store, artifacts, base_config):
+        _save(store, 3, artifacts)
+        stored = store.open_shard(
+            3, base_fingerprint=config_fingerprint(base_config)
+        )
+        assert isinstance(stored, StoredShard)
+        manifest = stored.manifest
+        assert manifest["schema"] == STORE_SCHEMA
         assert manifest["shard"] == 3
         assert manifest["attempt"] == 1
         assert manifest["base_fingerprint"] == manifest["config_fingerprint"]
 
     def test_reseeded_retry_checkpoint_loads_under_the_plan_config(
-        self, store, base_config
+        self, store, artifacts, base_config
     ):
         built = respawn_config(
             base_config, session_seed=42, shard=0, attempt=2
         )
-        store.save(
+        # The worker writes the store keyed on the config it built with
+        # (only the recorded config matters to the manifest's keys).
+        reseeded = copy.copy(artifacts)
+        reseeded.config = built
+        write_store(store.shard_dir(0), reseeded)
+        store.adopt(
             0,
-            ARTIFACTS,
-            None,
-            base_config=base_config,
-            built_config=built,
+            open_store(store.shard_dir(0), strict=True),
+            base_fingerprint=config_fingerprint(base_config),
             attempt=2,
+            elapsed=0.5,
         )
-        loaded = store.load(0, base_config=base_config)
-        assert loaded is not None
-        _, _, manifest = loaded
+        stored = store.open_shard(
+            0, base_fingerprint=config_fingerprint(base_config)
+        )
+        assert stored is not None
+        manifest = stored.manifest
         assert manifest["attempt"] == 2
         assert manifest["base_fingerprint"] != manifest["config_fingerprint"]
         assert manifest["build_seed"] == built.seed
         assert manifest["corpus_seed"] == built.corpus.seed
+        # The plan's fingerprint is the resume key, not the built one.
+        assert (
+            store.open_shard(0, base_fingerprint=config_fingerprint(built))
+            is None
+        )
 
     def test_absent_checkpoint_is_missing_even_in_strict_mode(
         self, store, base_config
     ):
-        assert store.load(7, base_config=base_config) is None
-        assert store.load(7, base_config=base_config, strict=True) is None
+        fingerprint = config_fingerprint(base_config)
+        assert store.open_shard(7, base_fingerprint=fingerprint) is None
+        assert (
+            store.open_shard(7, base_fingerprint=fingerprint, strict=True)
+            is None
+        )
 
 
 class TestVerification:
-    def test_foreign_config_is_rejected(self, store, base_config):
-        store.save(0, ARTIFACTS, None, base_config=base_config)
-        other = BuildConfig.small(n_products=40)
-        assert store.load(0, base_config=other) is None
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            store.load(0, base_config=other, strict=True)
+    def test_foreign_config_is_rejected(self, store, artifacts):
+        _save(store, 0, artifacts)
+        other = config_fingerprint(BuildConfig.small(n_products=40))
+        assert store.open_shard(0, base_fingerprint=other) is None
+        with pytest.raises(StoreError, match="fingerprint"):
+            store.open_shard(0, base_fingerprint=other, strict=True)
 
-    def test_truncated_payload_is_rejected(self, store, base_config):
-        store.save(0, ARTIFACTS, None, base_config=base_config)
-        payload_path = store.payload_path(0)
-        payload_path.write_bytes(payload_path.read_bytes()[:-7])
-        assert store.load(0, base_config=base_config) is None
-        with pytest.raises(CheckpointError, match="sha256"):
-            store.load(0, base_config=base_config, strict=True)
+    def test_truncated_payload_is_rejected(self, store, artifacts):
+        _save(store, 0, artifacts)
+        sidecar = store.shard_dir(0) / "incidence_data.npy"
+        sidecar.write_bytes(sidecar.read_bytes()[:-7])
+        assert store.open_shard(0) is None
+        with pytest.raises(StoreError, match="sha256"):
+            store.open_shard(0, strict=True)
 
-    def test_garbage_manifest_is_rejected(self, store, base_config):
-        store.save(0, ARTIFACTS, None, base_config=base_config)
-        store.manifest_path(0).write_text("{ not json")
-        assert store.load(0, base_config=base_config) is None
-        with pytest.raises(CheckpointError, match="unreadable"):
-            store.load(0, base_config=base_config, strict=True)
+    def test_garbage_manifest_is_rejected(self, store, artifacts):
+        _save(store, 0, artifacts)
+        (store.shard_dir(0) / "manifest.json").write_text("{ not json")
+        assert store.open_shard(0) is None
+        with pytest.raises(StoreError, match="unreadable"):
+            store.open_shard(0, strict=True)
 
-    def test_future_schema_is_rejected(self, store, base_config):
-        store.save(0, ARTIFACTS, None, base_config=base_config)
-        manifest = json.loads(store.manifest_path(0).read_text())
-        manifest["schema"] = CHECKPOINT_SCHEMA + 1
-        store.manifest_path(0).write_text(json.dumps(manifest))
-        assert store.load(0, base_config=base_config) is None
+    def test_future_schema_is_rejected(self, store, artifacts):
+        _save(store, 0, artifacts)
+        manifest = _manifest(store, 0)
+        manifest["schema"] = STORE_SCHEMA + 1
+        (store.shard_dir(0) / "manifest.json").write_text(json.dumps(manifest))
+        assert store.open_shard(0) is None
+        with pytest.raises(StoreError, match="store schema"):
+            store.open_shard(0, strict=True)
 
     def test_completed_shards_reports_only_verifiable_ones(
-        self, store, base_config
+        self, store, artifacts, base_config
     ):
         configs = [base_config] * 4
-        store.save(0, ARTIFACTS, None, base_config=base_config)
-        store.save(2, ARTIFACTS, None, base_config=base_config)
-        store.save(3, ARTIFACTS, None, base_config=base_config)
-        store.payload_path(3).write_bytes(b"corrupt")
+        for shard in (0, 2, 3):
+            _save(store, shard, artifacts)
+        (store.shard_dir(3) / "shard.db").write_bytes(b"corrupt")
         assert store.completed_shards(configs) == [0, 2]
 
 
 class TestInjectableClock:
     """`created_at` comes from the injected clock, not ambient time.time.
 
-    The manifest timestamp is documentation-only (outside the payload
+    The manifest timestamp is documentation-only (outside every file
     sha256 and both config fingerprints); the injectable clock keeps the
     store free of ambient wall-clock reads (repro-lint RNG004) and lets
     this test pin the stamp exactly.
     """
 
-    def test_manifest_uses_injected_clock(self, tmp_path, base_config):
-        store = ShardCheckpointStore(tmp_path / "ckpt", clock=lambda: 1234.5)
-        store.save(0, ARTIFACTS, SUMMARY, base_config=base_config)
-        manifest = json.loads(store.manifest_path(0).read_text())
-        assert manifest["created_at"] == 1234.5
+    def test_manifest_uses_injected_clock(self, store, artifacts):
+        _save(store, 0, artifacts, clock=lambda: 1234.5)
+        assert _manifest(store, 0)["created_at"] == 1234.5
 
-    def test_clock_does_not_affect_verification(self, tmp_path, base_config):
-        writer = ShardCheckpointStore(tmp_path / "ckpt", clock=lambda: 7.0)
-        writer.save(0, ARTIFACTS, SUMMARY, base_config=base_config)
-        # A store with a different clock still verifies and loads the
-        # checkpoint — the stamp is outside every integrity check.
-        reader = ShardCheckpointStore(tmp_path / "ckpt", clock=lambda: 99.0)
-        loaded = reader.load(0, base_config=base_config, strict=True)
-        assert loaded is not None
-        artifacts, summary, manifest = loaded
-        assert artifacts == ARTIFACTS
-        assert summary == SUMMARY
-        assert manifest["created_at"] == 7.0
+    def test_clock_does_not_affect_verification(
+        self, tmp_path, artifacts, base_config
+    ):
+        writer = ArtifactStore(tmp_path / "ckpt")
+        _save(writer, 0, artifacts, clock=lambda: 7.0)
+        # A fresh root over the same directory verifies and opens the
+        # shard — the stamp is outside every integrity check.
+        reader = ArtifactStore(tmp_path / "ckpt")
+        stored = reader.open_shard(
+            0, base_fingerprint=config_fingerprint(base_config), strict=True
+        )
+        assert stored is not None
+        assert stored.manifest["created_at"] == 7.0
 
-    def test_default_clock_is_wall_clock(self, tmp_path, base_config):
+    def test_default_clock_is_wall_clock(self, store, artifacts):
         import time
 
         before = time.time()
-        store = ShardCheckpointStore(tmp_path / "ckpt")
-        store.save(0, ARTIFACTS, SUMMARY, base_config=base_config)
-        manifest = json.loads(store.manifest_path(0).read_text())
-        assert before <= manifest["created_at"] <= time.time()
+        _save(store, 0, artifacts)
+        assert before <= _manifest(store, 0)["created_at"] <= time.time()
 
 
 class TestSqliteBackend:
-    """The sqlite backend: real artifacts, adoption, typed refusal."""
+    """The SQLite store as checkpoint: parity, adoption, typed refusal."""
 
-    @pytest.fixture(scope="class")
-    def artifacts(self):
-        from repro.core.builder import BenchmarkBuilder
-
-        return BenchmarkBuilder(BuildConfig.small(n_products=30)).build()
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            ShardCheckpointStore(tmp_path, backend="parquet")
-
-    def test_round_trip_returns_stored_shard(self, tmp_path, artifacts):
-        from repro.io.store import StoredShard
-
-        store = ShardCheckpointStore(tmp_path / "ckpt", backend="sqlite")
-        store.save(0, artifacts, None, base_config=artifacts.config)
-        loaded = store.load(0, base_config=artifacts.config, strict=True)
-        assert loaded is not None
-        stored, summary, manifest = loaded
+    def test_round_trip_returns_stored_shard(self, store, artifacts):
+        _save(store, 0, artifacts)
+        stored = store.open_shard(
+            0, base_fingerprint=config_fingerprint(artifacts.config),
+            strict=True,
+        )
         assert isinstance(stored, StoredShard)
-        # Summaries are rebuilt on demand from the mmap engine, not
-        # persisted alongside the payload.
-        assert summary is None
         assert len(stored.cleansed.offers) == len(artifacts.cleansed.offers)
+        assert len(stored.engine) == len(artifacts.engine)
         assert store.completed_shards([artifacts.config]) == [0]
 
-    def test_adoption_amends_in_place(self, tmp_path, artifacts):
-        from repro.io.store import write_store, open_store
-
-        store = ShardCheckpointStore(tmp_path / "ckpt", backend="sqlite")
+    def test_adoption_amends_in_place(self, store, artifacts):
         # A worker already wrote the store into the shard's directory.
         write_store(store.shard_dir(2), artifacts)
+        before = _manifest(store, 2)
         stored = open_store(store.shard_dir(2), strict=True)
-        store.save(
-            2, stored, None, base_config=artifacts.config, attempt=2
+        fingerprint = config_fingerprint(artifacts.config)
+        store.adopt(
+            2, stored, base_fingerprint=fingerprint, attempt=2, elapsed=1.5
         )
-        manifest = json.loads(
-            (store.shard_dir(2) / "manifest.json").read_text()
-        )
+        manifest = _manifest(store, 2)
         assert manifest["shard"] == 2
         assert manifest["attempt"] == 2
-        assert manifest["base_fingerprint"] == config_fingerprint(
-            artifacts.config
-        )
-        assert store.load(2, base_config=artifacts.config) is not None
+        assert manifest["elapsed_seconds"] == 1.5
+        assert manifest["base_fingerprint"] == fingerprint
+        # No payload file was rewritten, and the adopted handle sees the
+        # amended manifest.
+        assert manifest["files"] == before["files"]
+        assert stored.manifest == manifest and stored.shard == 2
+        assert store.open_shard(2, base_fingerprint=fingerprint) is not None
 
-    def test_foreign_directory_adoption_refused(self, tmp_path, artifacts):
-        from repro.errors import StoreError
-        from repro.io.store import write_store, open_store
-
-        store = ShardCheckpointStore(tmp_path / "ckpt", backend="sqlite")
+    def test_foreign_directory_adoption_refused(self, store, artifacts, tmp_path):
         write_store(tmp_path / "elsewhere", artifacts)
         stored = open_store(tmp_path / "elsewhere", strict=True)
         with pytest.raises(StoreError, match="cannot adopt"):
-            store.save(1, stored, None, base_config=artifacts.config)
+            store.adopt(
+                1,
+                stored,
+                base_fingerprint=config_fingerprint(artifacts.config),
+                attempt=1,
+                elapsed=0.0,
+            )
 
-    def test_corruption_is_typed_store_error(self, tmp_path, artifacts):
-        from repro.errors import StoreError
-
-        store = ShardCheckpointStore(tmp_path / "ckpt", backend="sqlite")
-        store.save(0, artifacts, None, base_config=artifacts.config)
+    def test_corruption_is_typed_store_error(self, store, artifacts):
+        _save(store, 0, artifacts)
         db = store.shard_dir(0) / "shard.db"
         db.write_bytes(db.read_bytes()[:-32])
-        assert store.load(0, base_config=artifacts.config) is None
+        assert store.open_shard(0) is None
         with pytest.raises(StoreError, match="sha256 mismatch"):
-            store.load(0, base_config=artifacts.config, strict=True)
+            store.open_shard(0, strict=True)
 
     def test_streamed_verify_never_deserializes_bad_payload(
-        self, tmp_path, base_config
+        self, store, artifacts, monkeypatch
     ):
-        # Pickle backend counterpart of the streamed-sha satellite: a
-        # corrupt payload is rejected by the chunked hash alone — the
-        # pickle is never loaded (a poisoned payload would throw).
-        store = ShardCheckpointStore(tmp_path / "ckpt")
-        store.save(0, ARTIFACTS, SUMMARY, base_config=base_config)
-        payload = store.payload_path(0)
-        payload.write_bytes(b"\x80\x04poisoned-not-the-payload")
-        assert store.load(0, base_config=base_config) is None
-        with pytest.raises(CheckpointError, match="sha256 mismatch"):
-            store.load(0, base_config=base_config, strict=True)
+        # A poisoned database is rejected by the chunked hash alone:
+        # SQLite never opens it.
+        _save(store, 0, artifacts)
+        (store.shard_dir(0) / "shard.db").write_bytes(
+            b"SQLite format 3\x00poisoned-not-the-payload"
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unverified store must not be opened")
+
+        monkeypatch.setattr("repro.io.store.sqlite3.connect", refuse)
+        assert store.open_shard(0) is None
+        with pytest.raises(StoreError, match="sha256 mismatch"):
+            store.open_shard(0, strict=True)

@@ -337,17 +337,18 @@ def _faulty_session(executor="serial", **overrides):
 
 @pytest.fixture(scope="module")
 def interrupted_checkpoints(tmp_path_factory):
-    """A session 'killed' with 2 of 3 shards done, checkpoints on disk.
+    """A session 'killed' with 2 of 3 shards done, their stores on disk.
 
     Shard 2 crashes on every attempt under ``failure_policy="degrade"``,
-    so the session completes having checkpointed exactly shards 0 and 1 —
-    the on-disk state a genuinely interrupted session would leave behind.
+    so the session completes having stored exactly shards 0 and 1 — the
+    on-disk state a genuinely interrupted session would leave behind.
     """
-    root = tmp_path_factory.mktemp("interrupted") / "ckpt"
+    root = tmp_path_factory.mktemp("interrupted") / "store"
     session = _faulty_session(
         fault_plan=_crash_forever(shard=2),
         failure_policy="degrade",
-        checkpoint_dir=root,
+        store_dir=root,
+        store_backend="sqlite",
     ).build()
     assert session.health.failed_shards == (2,)
     assert session.shard_ids == (0, 1)
@@ -424,13 +425,13 @@ class TestFaultTolerantSessions:
     def test_resume_rebuilds_only_the_missing_shard(
         self, interrupted_checkpoints, tmp_path, executor
     ):
-        """Kill-then-resume: verified checkpoints short-circuit shards 0
+        """Kill-then-resume: verified shard stores short-circuit shards 0
         and 1, shard 2 rebuilds, and the merged results land byte-for-
         byte on the session-determinism pins — in both execution modes."""
-        checkpoint_dir = tmp_path / "resume"
-        shutil.copytree(interrupted_checkpoints, checkpoint_dir)
+        store_dir = tmp_path / "resume"
+        shutil.copytree(interrupted_checkpoints, store_dir)
         session = _faulty_session(
-            executor=executor, checkpoint_dir=checkpoint_dir
+            executor=executor, store_dir=store_dir, store_backend="sqlite"
         ).build()
         health = session.health
         assert health.statuses == {

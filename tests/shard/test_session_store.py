@@ -1,9 +1,9 @@
 """The store-backed session: parity, lazy worker opens, resume, fallback.
 
-The acceptance contract of the out-of-core refactor: a
-``store_backend="sqlite"`` session must be *byte-identical* to the
-in-memory pickle path — same merged candidate fingerprint, same merged
-benchmark fingerprint, across serial and process execution — while
+The acceptance contract of the out-of-core refactor: a ``store_dir``
+session must be *byte-identical* to the in-memory path — same merged
+candidate fingerprint, same merged benchmark fingerprint, across serial
+and process execution — while
 never shipping a ``BuildArtifacts`` across the pool boundary (workers
 return :class:`~repro.io.store.StoredShardHandle` path handles), and a
 corrupted shard store must fall back to a rebuild in session mode while
@@ -29,7 +29,7 @@ from repro.shard.supervisor import _build_one_shard
 
 # The same geometry and sha256 pins as tests/shard/test_session.py: the
 # store-backed path must land on the byte-identical merged results the
-# in-memory pickle path is pinned to.
+# in-memory path is pinned to.
 N_SHARDS = 3
 SWEEP_K = 10
 EXPECTED_MERGED_SHA256 = (
@@ -166,7 +166,6 @@ class TestLazyWorkerOpens:
         config = replace(
             _plan().shard_configs[0],
             store_dir=str(tmp_path / "shard-0000"),
-            store_backend="sqlite",
         )
         artifacts, summary, elapsed = _build_one_shard(
             config, shard=0, attempt=1, with_signatures=True
@@ -238,24 +237,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="store_backend='sqlite'"):
             ShardedBenchmarkSession(_plan(), store_dir=tmp_path)
 
-    def test_conflicting_checkpoint_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="must agree"):
-            ShardedBenchmarkSession(
-                _plan(),
-                store_dir=tmp_path / "store",
-                store_backend="sqlite",
-                checkpoint_dir=tmp_path / "elsewhere",
-            )
-
-    def test_matching_checkpoint_dir_accepted(self, tmp_path):
-        session = ShardedBenchmarkSession(
-            _plan(),
-            store_dir=tmp_path / "store",
-            store_backend="sqlite",
-            checkpoint_dir=tmp_path / "store",
-        )
-        assert session.checkpoint_dir == session.store_dir
-
     def test_unknown_backend(self, tmp_path):
         with pytest.raises(ValueError, match="store_backend"):
             ShardedBenchmarkSession(
@@ -263,7 +244,8 @@ class TestValidation:
             )
 
     def test_build_config_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="store_dir"):
-            BuildConfig.small(store_backend="sqlite")
-        with pytest.raises(ValueError, match="store_backend"):
-            BuildConfig.small(store_dir=str(tmp_path), store_backend="csv")
+        # store_dir alone turns the store stage on; the removed
+        # store_backend field fails loudly instead of being ignored.
+        assert BuildConfig.small(store_dir=str(tmp_path)).store_dir
+        with pytest.raises(TypeError, match="store_backend"):
+            BuildConfig.small(store_dir=str(tmp_path), store_backend="sqlite")

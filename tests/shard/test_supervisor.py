@@ -6,21 +6,24 @@ fault tolerance, with actual corpus builds and the pinned determinism
 hashes, lives in ``test_session.py``.
 """
 
+import shutil
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core import BuildConfig
+from repro.core.builder import BenchmarkBuilder
 from repro.errors import (
     ShardBuildError,
     ShardCrashError,
     ShardRetriesExhaustedError,
 )
+from repro.io.store import ArtifactStore, StoredShardHandle, write_store
 from repro.shard import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
-    ShardCheckpointStore,
     ShardSupervisor,
     respawn_config,
 )
@@ -261,26 +264,46 @@ class TestBudgetsAndPolicies:
 
 
 class TestCheckpointsThroughSupervisor:
-    def test_second_run_loads_instead_of_building(self, tmp_path):
-        configs = _configs()
-        first = _supervisor(
-            configs, checkpoint_store=ShardCheckpointStore(tmp_path)
+    @pytest.fixture(scope="class")
+    def store_template(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("template") / "store"
+        write_store(
+            directory, BenchmarkBuilder(BuildConfig.small(n_products=30)).build()
         )
+        return directory
+
+    def test_second_run_loads_instead_of_building(
+        self, tmp_path, store_template
+    ):
+        store = ArtifactStore(tmp_path)
+        configs = [
+            replace(config, store_dir=str(store.shard_dir(shard)))
+            for shard, config in enumerate(_configs())
+        ]
+
+        def copy_template(
+            config, *, shard, attempt, with_signatures, fault_plan=None
+        ):
+            # Hands the store back by path, as store-backed workers do.
+            shutil.copytree(store_template, config.store_dir)
+            return StoredShardHandle(config.store_dir, shard), None, 0.01
+
+        first = _supervisor(configs, store=store, build_fn=copy_template)
         first_outcomes = first.run()
         assert all(o.source == "built" for o in first_outcomes)
-        assert ShardCheckpointStore(tmp_path).completed_shards(configs) == [
-            0, 1, 2,
-        ]
+        assert store.completed_shards(configs) == [0, 1, 2]
+        assert first_outcomes[1].artifacts.manifest["shard"] == 1
         assert "checkpoint:save" in first.stage_timings
 
         second = _supervisor(
-            configs,
-            checkpoint_store=ShardCheckpointStore(tmp_path),
-            build_fn=_never_build,
+            configs, store=ArtifactStore(tmp_path), build_fn=_never_build
         )
         outcomes = second.run()
         assert all(o.source == "checkpoint" for o in outcomes)
-        assert outcomes[2].artifacts == first_outcomes[2].artifacts
+        assert (
+            outcomes[2].artifacts.manifest
+            == first_outcomes[2].artifacts.manifest
+        )
         assert "checkpoint:load" in second.stage_timings
         health = second.health(outcomes)
         assert health.checkpoints_loaded == 3
