@@ -20,12 +20,12 @@ Two merges happen at the end of a sharded session:
 
 Both merges exist in two physical shapes.  The historical in-memory
 shape materializes python lists (:class:`MergedCandidates`).  The
-out-of-core shape streams the *same* candidate iterator into a
-self-contained SQLite file (:class:`MergedCandidateStore` →
-``merged.db``) whose dedup is an ``INSERT OR IGNORE`` over canonical
-unordered pair keys, and serves the result back as
-:class:`StoredMergedCandidates` — a lazy query view with windowed
-iteration and SQL aggregates, duck-type compatible with
+out-of-core shape streams the *same* row generator through one
+``executemany`` per table into a self-contained SQLite file
+(:class:`MergedCandidateStore` → ``merged.db``) whose dedup is an
+``INSERT OR IGNORE`` over canonical unordered pair keys, and serves the
+result back as :class:`StoredMergedCandidates` — a lazy query view with
+windowed iteration and SQL aggregates, duck-type compatible with
 :class:`MergedCandidates` so recall and dataset consumers run unchanged
 without a merged copy in RAM.  One shared generator feeds both shapes,
 so python-set dedup and SQL first-win dedup see identical insertion
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +46,7 @@ from repro.blocking.candidates import BlockedPairSet
 from repro.core.benchmark import WDCProductsBenchmark
 from repro.core.datasets import LabeledPair, MulticlassDataset, PairDataset
 from repro.corpus.schema import ProductOffer, SyntheticCorpus
+from repro.errors import StoreError
 from repro.io.store import OFFER_COLUMNS, offer_to_row, row_to_offer
 from repro.shard.namespace import namespace_id, namespace_offer, namespace_offers
 
@@ -55,7 +56,6 @@ __all__ = [
     "MergedCandidateStore",
     "StoredMergedCandidates",
     "MERGED_SCHEMA",
-    "iter_merged_candidates",
     "merge_candidate_sets",
     "merge_benchmarks",
     "merge_corpora",
@@ -164,71 +164,68 @@ def provenance_tag(query_shard: int, candidate_shard: int, metric: str) -> str:
     return f"shard:{int(query_shard)}→{int(candidate_shard)}:{metric}"
 
 
-def _iter_blocked(
+def _blocked_rows(
     blocked: BlockedPairSet,
     shard_of_row: np.ndarray | int,
-    seen: set[tuple[str, str]] | None,
-) -> Iterator[MergedCandidate]:
-    """Yield ``blocked``'s pairs (already namespaced) as merged candidates.
+    offers: dict[str, ProductOffer],
+) -> Iterator[tuple]:
+    """Yield ``blocked``'s pairs (already namespaced) as merged rows.
 
     ``shard_of_row`` maps engine rows to shard ids — a scalar for a
-    within-shard set, the partition array for a cross-shard sweep.
-    ``seen`` enables python-set dedup; ``None`` yields every occurrence
-    in the same order (a SQL sink dedups downstream on the identical
-    canonical keys, so both consumers keep the same first-win survivors).
+    within-shard set, the partition array for a cross-shard sweep.  Each
+    row is ``(key_a, key_b, offer_a, offer_b, label, score, metric,
+    provenance)``: the canonical unordered offer-id key, then the stored
+    fields.  Every offer a row names lands in ``offers`` on first sight.
     """
-    offers = blocked.blocker.offers
+    row_offers = blocked.blocker.offers
     labels = blocked.blocker.group_labels
-    if offers is None or labels is None:
+    if row_offers is None or labels is None:
         raise ValueError("merging needs blockers built with offers and labels")
-    scalar_shard = shard_of_row if isinstance(shard_of_row, int) else None
+    ids = blocked.blocker.offer_ids
+    if isinstance(shard_of_row, int):
+        shard_of_row = [shard_of_row] * len(ids)
+    else:
+        shard_of_row = shard_of_row.tolist()
     for pair in blocked.pairs:
-        offer_a, offer_b = offers[pair.row_a], offers[pair.row_b]
-        if seen is not None:
-            a, b = offer_a.offer_id, offer_b.offer_id
-            key = (a, b) if a <= b else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-        if scalar_shard is not None:
-            query_shard = candidate_shard = scalar_shard
-        else:
-            query_shard = int(shard_of_row[pair.query_row])
-            candidate = (
-                pair.row_b if pair.row_a == pair.query_row else pair.row_a
-            )
-            candidate_shard = int(shard_of_row[candidate])
-        yield MergedCandidate(
-            offer_a=offer_a,
-            offer_b=offer_b,
-            label=int(labels[pair.row_a] == labels[pair.row_b]),
-            score=pair.score,
-            metric=pair.metric,
-            provenance=provenance_tag(
-                query_shard, candidate_shard, pair.metric
+        row_a, row_b, query = pair.row_a, pair.row_b, pair.query_row
+        a, b = ids[row_a], ids[row_b]
+        offers.setdefault(a, row_offers[row_a])
+        offers.setdefault(b, row_offers[row_b])
+        candidate = row_b if row_a == query else row_a
+        key_a, key_b = (a, b) if a <= b else (b, a)
+        yield (
+            key_a,
+            key_b,
+            a,
+            b,
+            int(labels[row_a] == labels[row_b]),
+            pair.score,
+            pair.metric,
+            provenance_tag(
+                shard_of_row[query], shard_of_row[candidate], pair.metric
             ),
         )
 
 
-def iter_merged_candidates(
+def _merged_rows(
     shard_sets: Sequence[tuple[int, BlockedPairSet]],
     cross_sets: Sequence[tuple[tuple[int, int], BlockedPairSet, np.ndarray]],
-    *,
-    dedup: bool = True,
-) -> Iterator[MergedCandidate]:
-    """Stream the session's merged candidates in canonical merge order.
+    offers: dict[str, ProductOffer],
+) -> Iterator[tuple]:
+    """Stream every merged row, duplicates included, in merge order.
 
     Consumes ``shard_sets`` then ``cross_sets`` in the given order (the
-    session passes shard order, then lexicographic pair order).  With
-    ``dedup=True`` the stream is the exact in-memory merged set; with
-    ``dedup=False`` duplicates ride along for a downstream first-win
-    sink (``INSERT OR IGNORE`` over the same canonical keys).
+    session passes shard order, then lexicographic pair order).  Both
+    merge shapes read this one stream and keep the first row per key —
+    a python set in :func:`merge_candidate_sets`, ``INSERT OR IGNORE``
+    in :meth:`MergedCandidateStore.write` — so they keep identical
+    survivors.  A duplicate names the same two offers as the row that
+    won, so ``offers`` ends up holding exactly the survivors' offers.
     """
-    seen: set[tuple[str, str]] | None = set() if dedup else None
     for shard, blocked in shard_sets:
-        yield from _iter_blocked(blocked, int(shard), seen)
+        yield from _blocked_rows(blocked, int(shard), offers)
     for _, blocked, partition in cross_sets:
-        yield from _iter_blocked(blocked, partition, seen)
+        yield from _blocked_rows(blocked, partition, offers)
 
 
 def merge_candidate_sets(
@@ -248,11 +245,27 @@ def merge_candidate_sets(
     namespaced offers/labels, so dedup keys are globally unique and the
     merge is deterministic by construction.
     """
+    offers: dict[str, ProductOffer] = {}
+    seen: set[tuple[str, str]] = set()
+    pairs: list[MergedCandidate] = []
+    for key_a, key_b, a, b, label, score, metric, provenance in _merged_rows(
+        shard_sets, cross_sets, offers
+    ):
+        if (key_a, key_b) in seen:
+            continue
+        seen.add((key_a, key_b))
+        pairs.append(
+            MergedCandidate(
+                offer_a=offers[a],
+                offer_b=offers[b],
+                label=label,
+                score=score,
+                metric=metric,
+                provenance=provenance,
+            )
+        )
     return MergedCandidates(
-        list(iter_merged_candidates(shard_sets, cross_sets, dedup=True)),
-        k=k,
-        metrics=tuple(metrics),
-        n_shards=n_shards,
+        pairs, k=k, metrics=tuple(metrics), n_shards=n_shards
     )
 
 
@@ -323,51 +336,44 @@ class MergedCandidateStore:
     def write(
         self,
         table_key: str,
-        candidates: Iterable[MergedCandidate],
+        shard_sets: Sequence[tuple[int, BlockedPairSet]],
+        cross_sets: Sequence[
+            tuple[tuple[int, int], BlockedPairSet, np.ndarray]
+        ],
         *,
         k: int,
         metrics: Sequence[str],
         n_shards: int,
     ) -> "StoredMergedCandidates":
-        """Stream one candidate table and return its lazy query view."""
+        """Stream one candidate table and return its lazy query view.
+
+        The merge's rows go through one ``executemany`` of ``INSERT OR
+        IGNORE`` straight from the generator — nothing is materialized,
+        and the table's unique key keeps the first row per pair.  Every
+        offer the stream named is inserted once afterwards, in first-seen
+        order.
+        """
         table = _MERGED_TABLES[table_key]
+        offers: dict[str, ProductOffer] = {}
         connection = self._connection
         with connection:
-            for candidate in candidates:
-                a = candidate.offer_a.offer_id
-                b = candidate.offer_b.offer_id
-                key_a, key_b = (a, b) if a <= b else (b, a)
-                inserted = connection.execute(
-                    f"INSERT OR IGNORE INTO {table} "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        key_a,
-                        key_b,
-                        a,
-                        b,
-                        candidate.label,
-                        candidate.score,
-                        candidate.metric,
-                        candidate.provenance,
-                    ),
-                ).rowcount
-                if inserted:
-                    connection.executemany(
-                        "INSERT OR IGNORE INTO offers "
-                        f"VALUES ({_OFFER_PLACEHOLDERS})",
-                        (
-                            offer_to_row(candidate.offer_a),
-                            offer_to_row(candidate.offer_b),
-                        ),
-                    )
-            for key, value in (
-                (f"{table_key}:k", str(int(k))),
-                (f"{table_key}:metrics", json.dumps(list(metrics))),
-                (f"{table_key}:n_shards", str(int(n_shards))),
-            ):
-                connection.execute(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)", (key, value)
-                )
+            connection.executemany(
+                f"INSERT OR IGNORE INTO {table} "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                _merged_rows(shard_sets, cross_sets, offers),
+            )
+            connection.executemany(
+                f"INSERT OR IGNORE INTO offers VALUES ({_OFFER_PLACEHOLDERS})",
+                map(offer_to_row, offers.values()),
+            )
+            connection.executemany(
+                "INSERT OR REPLACE INTO meta VALUES (?, ?)",
+                (
+                    (f"{table_key}:k", str(int(k))),
+                    (f"{table_key}:metrics", json.dumps(list(metrics))),
+                    (f"{table_key}:n_shards", str(int(n_shards))),
+                ),
+            )
         return StoredMergedCandidates(
             self.path,
             table_key,
@@ -423,24 +429,40 @@ class StoredMergedCandidates:
 
     @classmethod
     def open(cls, path: Path | str, table_key: str) -> "StoredMergedCandidates":
-        """Reopen a view from the metadata persisted beside the table."""
-        connection = sqlite3.connect(f"file:{Path(path)}?mode=ro", uri=True)
+        """Reopen a view from the metadata persisted beside the table.
+
+        Raises :class:`~repro.errors.StoreError` naming the file and the
+        table when the file cannot be read, carries another schema, or
+        never had this table written.
+        """
+        where = f"merged store {path} (table {table_key!r})"
         try:
-            meta = dict(connection.execute("SELECT key, value FROM meta"))
-        finally:
-            connection.close()
-        if meta.get("schema") != str(MERGED_SCHEMA):
-            raise ValueError(
-                f"merged store {path} has schema {meta.get('schema')!r}, "
-                f"expected {MERGED_SCHEMA}"
+            connection = sqlite3.connect(
+                f"file:{Path(path)}?mode=ro", uri=True
             )
-        return cls(
-            path,
-            table_key,
-            k=int(meta[f"{table_key}:k"]),
-            metrics=tuple(json.loads(meta[f"{table_key}:metrics"])),
-            n_shards=int(meta[f"{table_key}:n_shards"]),
-        )
+            try:
+                meta = dict(connection.execute("SELECT key, value FROM meta"))
+            finally:
+                connection.close()
+        except sqlite3.Error as error:
+            raise StoreError(f"{where} cannot be read: {error}") from error
+        if meta.get("schema") != str(MERGED_SCHEMA):
+            raise StoreError(
+                f"{where} has schema {meta.get('schema')!r}, expected "
+                f"{MERGED_SCHEMA}"
+            )
+        try:
+            return cls(
+                path,
+                table_key,
+                k=int(meta[f"{table_key}:k"]),
+                metrics=tuple(json.loads(meta[f"{table_key}:metrics"])),
+                n_shards=int(meta[f"{table_key}:n_shards"]),
+            )
+        except KeyError as error:
+            raise StoreError(
+                f"{where} was never written: no {error.args[0]!r} meta row"
+            ) from error
 
     def __reduce__(self):
         return (_reopen_stored_merged, (str(self.path), self.table_key))

@@ -6,8 +6,10 @@ configs, :meth:`ShardedBenchmarkSession.build` runs
 :func:`~repro.core.builder.build_one_corpus` for each of them in worker
 **processes** (the corpus/cleansing/grouping stages are serial Python, so
 process isolation — not the ratio thread pool — is what parallelizes
-them), and a cross-shard blocking sweep joins every shard pair's
-universes into one deduplicated, provenance-tagged candidate set.  The
+them).  Each worker also runs its shard's own top-k join (the builder's
+``blocking`` stage, persisted in the shard store), and a cross-shard
+blocking sweep in the parent joins every shard pair's universes; both
+merge into one deduplicated, provenance-tagged candidate set.  The
 result is a :class:`ShardedArtifacts`: per-shard
 :class:`~repro.core.builder.BuildArtifacts` plus merged session-level
 views (candidates, benchmark, corpus, engine) that existing consumers —
@@ -48,7 +50,6 @@ from repro.shard.faults import FaultPlan
 from repro.shard.merge import (
     MergedCandidates,
     MergedCandidateStore,
-    iter_merged_candidates,
     merge_benchmarks,
     merge_candidate_sets,
     merge_corpora,
@@ -105,7 +106,7 @@ def _sweep_universes(
     k: int,
     cross_metrics: tuple[str, ...],
     n_shards: int,
-    shard_metrics: tuple[str, ...] | None = None,
+    joins: list[BlockedPairSet] | None = None,
     timings: dict[str, float] | None = None,
     sweep_mode: str = "signature",
     signature_threshold: float = DEFAULT_SIGNATURE_THRESHOLD,
@@ -115,10 +116,15 @@ def _sweep_universes(
     """Join every universe and every universe pair; merge both shapes.
 
     The one sweep implementation behind the session's corpus-level sweep
-    and the split-scoped recall recipe: per-universe joins run under
-    ``shard_metrics`` (default: each universe engine's full metric set),
-    universe pairs under the token-only ``cross_metrics``, and the merged
-    sets record the union of every metric actually joined.
+    and the split-scoped recall recipe.  ``joins`` supplies each
+    universe's own top-k join, already bound to ``universe.blocker()``
+    (the session's shard workers run them); without it the per-universe
+    joins run here under each universe engine's full metric set (the
+    recipe the single-corpus recall floors were recorded with).  Either
+    way the group positives are
+    completed here.  Universe pairs join under the token-only
+    ``cross_metrics``, and the merged sets record the union of every
+    metric actually joined.
 
     In ``"signature"`` mode (the default) the universe pairs are pruned
     through a :class:`SignatureIndex` first: pairs with no possible
@@ -131,7 +137,8 @@ def _sweep_universes(
     Returns ``(completed, join_only, prune_stats)``; ``timings`` (when
     given) receives one ``sweep:<i>→<j>`` row per executed join plus the
     aggregate ``sweep:signatures`` / ``sweep:prune`` / ``sweep:rescore``
-    rows.
+    rows.  A ``sweep:<i>→<i>`` row already present is added to, so a
+    caller can seed it with the seconds its worker spent on the join.
 
     With a ``sink`` (a :class:`~repro.shard.merge.MergedCandidateStore`)
     the merged sets are streamed into its SQLite tables instead of being
@@ -143,24 +150,22 @@ def _sweep_universes(
     completed_sets: list[tuple[int, BlockedPairSet]] = []
     join_sets: list[tuple[int, BlockedPairSet]] = []
     used_metrics: dict[str, None] = {}
-    for universe in universes:
+    for position, universe in enumerate(universes):
         with Timer() as timer:
-            blocker = universe.blocker()
-            metrics = (
-                blocker.engine.metric_names
-                if shard_metrics is None
-                else shard_metrics
-            )
-            used_metrics.update(dict.fromkeys(metrics))
-            join = blocker.candidates(k=k, metrics=metrics)
+            if joins is not None:
+                join = joins[position]
+            else:
+                join = universe.blocker().candidates(
+                    k=k, metrics=universe.engine.metric_names
+                )
+            used_metrics.update(dict.fromkeys(join.metrics))
             join_sets.append((universe.shard, join))
             completed_sets.append(
                 (universe.shard, join.with_group_positives())
             )
         if timings is not None:
-            timings[f"sweep:{universe.shard}→{universe.shard}"] = (
-                timer.elapsed
-            )
+            row = f"sweep:{universe.shard}→{universe.shard}"
+            timings[row] = timings.get(row, 0.0) + timer.elapsed
     used_metrics.update(dict.fromkeys(cross_metrics))
 
     n_universes = len(universes)
@@ -237,15 +242,9 @@ def _sweep_universes(
     kwargs = dict(k=k, metrics=tuple(used_metrics), n_shards=n_shards)
     if sink is not None:
         completed = sink.write(
-            "completed",
-            iter_merged_candidates(completed_sets, cross_sets, dedup=False),
-            **kwargs,
+            "completed", completed_sets, cross_sets, **kwargs
         )
-        join_only = sink.write(
-            "join_only",
-            iter_merged_candidates(join_sets, cross_sets, dedup=False),
-            **kwargs,
-        )
+        join_only = sink.write("join_only", join_sets, cross_sets, **kwargs)
         return completed, join_only, stats
     return (
         merge_candidate_sets(completed_sets, cross_sets, **kwargs),
@@ -477,9 +476,18 @@ class ShardedBenchmarkSession:
     handle + signature summary across the pool boundary — the parent
     opens shards lazily (mmap engine, SQL-backed benchmark/splits) and
     the sweep streams merged candidates into the store's ``merged.db``
-    instead of materializing them.  The store is also the crash-resume
+    (one ``executemany`` per table, first-win dedup in SQL) instead of
+    materializing them.  The store is also the crash-resume
     checkpoint: a session over an existing ``store_dir`` loads every
     shard that verifies and rebuilds only the rest.
+
+    Every shard config gets ``blocking_top_k=sweep_k`` and
+    ``blocking_metrics=shard_metrics`` (default: every engine metric),
+    so each worker runs its shard's own top-k join and the parent runs
+    only the cross-shard joins.  A resumed shard reuses the join its
+    store persisted; since the join parameters are part of the config
+    fingerprint, changing ``sweep_k`` or ``shard_metrics`` rebuilds the
+    shards.
     """
 
     def __init__(
@@ -596,7 +604,22 @@ class ShardedBenchmarkSession:
         artifacts and summaries, the session health report and the
         supervisor's timing rows (``shard:retries``, ``checkpoint:*``).
         """
-        configs = list(self.plan.shard_configs)
+        # Every worker runs its shard's own top-k join as the builder's
+        # ``blocking`` stage, in parallel, and the shard store persists
+        # it, so a resumed shard never reruns it.  Like ``store_dir``
+        # below, the rewrite happens before supervision: retries, resume
+        # and config fingerprints all see the joining config.  Shard
+        # engines always carry embeddings, so METRICS is every shard
+        # engine's ``metric_names``.
+        join_metrics = self.shard_metrics or SimilarityEngine.METRICS
+        configs = [
+            replace(
+                config,
+                blocking_top_k=self.sweep_k,
+                blocking_metrics=join_metrics,
+            )
+            for config in self.plan.shard_configs
+        ]
         store = self._store()
         if store is not None:
             # Out-of-core mode: each worker writes its shard store into
@@ -650,14 +673,39 @@ class ShardedBenchmarkSession:
     ) -> tuple[MergedCandidates, MergedCandidates, SweepPruneStats]:
         """Per-shard joins + cross-shard pair sweeps, merged both ways.
 
-        In store-backed mode the merged sets are streamed into the
-        store's ``merged.db`` and come back as lazy
+        The per-shard joins come from the shard workers (the builder's
+        ``blocking`` stage); the parent only re-wraps them on the
+        namespaced universe blockers and completes their group
+        positives.  In store-backed mode the merged sets are streamed
+        into the store's ``merged.db`` and come back as lazy
         :class:`~repro.shard.merge.StoredMergedCandidates` query views.
         """
         universes = [
             shard_universe(artifacts, shard)
             for shard, artifacts in zip(shard_ids, shards)
         ]
+        joins = []
+        for universe, artifacts in zip(universes, shards):
+            # The worker's pairs index engine rows, which the namespaced
+            # universe shares with the worker's blocker: re-wrap as is.
+            with Timer() as timer:
+                blocked = artifacts.blocked_candidates
+                joins.append(
+                    BlockedPairSet(
+                        universe.blocker(),
+                        blocked.pairs,
+                        k=blocked.k,
+                        metrics=blocked.metrics,
+                        n_queries=blocked.n_queries,
+                    )
+                )
+            # The join's row holds the worker's blocking-stage seconds
+            # (absent for a shard resumed from its store) plus the
+            # parent's re-wrap; the sweep adds the group completion.
+            timings[f"sweep:{universe.shard}→{universe.shard}"] = (
+                timings.get(f"shard:{universe.shard}:blocking", 0.0)
+                + timer.elapsed
+            )
         store = self._store()
         sink = None
         if store is not None:
@@ -667,8 +715,8 @@ class ShardedBenchmarkSession:
                 universes,
                 k=self.sweep_k,
                 cross_metrics=self.sweep_metrics,
-                shard_metrics=self.shard_metrics,
                 n_shards=len(shards),
+                joins=joins,
                 timings=timings,
                 sweep_mode=self.sweep_mode,
                 signature_threshold=self.signature_threshold,

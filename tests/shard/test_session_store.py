@@ -12,10 +12,12 @@ strict opens raise :class:`~repro.errors.StoreError`.
 
 import hashlib
 import json
+import shutil
 import sqlite3
 
 import pytest
 
+from repro.blocking import CandidateBlocker
 from repro.core import BuildConfig
 from repro.errors import StoreError
 from repro.io.store import StoredShard, StoredShardHandle
@@ -25,7 +27,9 @@ from repro.shard import (
     ShardedBenchmarkSession,
     StoredMergedCandidates,
 )
+from repro.shard import session as session_module
 from repro.shard.supervisor import _build_one_shard
+from repro.similarity.engine import SimilarityEngine
 
 # The same geometry and sha256 pins as tests/shard/test_session.py: the
 # store-backed path must land on the byte-identical merged results the
@@ -37,6 +41,12 @@ EXPECTED_MERGED_SHA256 = (
 )
 EXPECTED_BENCHMARK_SHA256 = (
     "113d9e1f2a3759440167dbce87d5c2b298693af433dffcea02009b84ff926b1f"
+)
+# The raw top-k join (``merged_join_candidates``) of the same geometry,
+# recorded on the in-memory path while the parent still ran the
+# per-shard joins itself.
+EXPECTED_JOIN_SHA256 = (
+    "245df7ad6c90a8a69589c8a292bc6bc32e3a0230afd72cb77b3db566f0cfe68f"
 )
 
 
@@ -70,10 +80,10 @@ def _benchmark_fingerprint(benchmark) -> str:
     return digest.hexdigest()
 
 
-def _store_session(store_dir, executor="serial", **kwargs):
+def _store_session(store_dir, executor="serial", sweep_k=SWEEP_K, **kwargs):
     return ShardedBenchmarkSession(
         _plan(),
-        sweep_k=SWEEP_K,
+        sweep_k=sweep_k,
         executor=executor,
         store_dir=store_dir,
         store_backend="sqlite",
@@ -91,6 +101,27 @@ def store_session(store_root):
     return _store_session(store_root / "serial").build()
 
 
+@pytest.fixture(scope="module")
+def memory_session():
+    return ShardedBenchmarkSession(
+        _plan(), sweep_k=SWEEP_K, executor="serial"
+    ).build()
+
+
+def _count_joins(monkeypatch) -> list[bool]:
+    """Record, per ``CandidateBlocker.candidates`` call in this process,
+    whether it was a cross-shard (partition-restricted) join."""
+    calls: list[bool] = []
+    original = CandidateBlocker.candidates
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs.get("exclude_same_partition") is not None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CandidateBlocker, "candidates", counting)
+    return calls
+
+
 class TestParity:
     def test_merged_candidates_pinned(self, store_session):
         assert (
@@ -102,6 +133,19 @@ class TestParity:
         assert (
             _benchmark_fingerprint(store_session.merged_benchmark)
             == EXPECTED_BENCHMARK_SHA256
+        )
+
+    def test_merged_join_candidates_match_in_memory(
+        self, store_session, memory_session
+    ):
+        stored = _candidates_fingerprint(store_session.merged_join_candidates)
+        assert stored == _candidates_fingerprint(
+            memory_session.merged_join_candidates
+        )
+        assert stored == EXPECTED_JOIN_SHA256
+        assert (
+            _candidates_fingerprint(memory_session.merged_candidates)
+            == EXPECTED_MERGED_SHA256
         )
 
     def test_process_executor_identical(self, store_root):
@@ -184,6 +228,96 @@ class TestLazyWorkerOpens:
 
         handle = StoredShardHandle(str(store_root / "anywhere"), 0)
         assert len(pickle.dumps(handle)) < 512
+
+
+class TestWorkerSelfJoins:
+    """Each shard's own top-k join runs in its worker (the builder's
+    ``blocking`` stage) and persists in its store; the parent runs only
+    the cross-shard joins."""
+
+    def test_shard_stores_carry_the_sweep_join(self, store_session):
+        for shard in store_session.shards:
+            assert shard.manifest["blocked"]["k"] == SWEEP_K
+            blocked = shard.blocked_candidates
+            assert blocked.k == SWEEP_K
+            assert blocked.metrics == SimilarityEngine.METRICS
+            assert len(blocked) > 0
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_shard_metrics_reach_the_worker_configs(
+        self, monkeypatch, tmp_path, stored
+    ):
+        captured = []
+
+        class Captured(Exception):
+            pass
+
+        class Recorder:
+            def __init__(self, configs, **kwargs):
+                captured.extend(configs)
+
+            def run(self):
+                raise Captured
+
+        monkeypatch.setattr(session_module, "ShardSupervisor", Recorder)
+        kwargs = {"shard_metrics": ("cosine", "dice")}
+        if stored:
+            session = _store_session(tmp_path, **kwargs)
+        else:
+            session = ShardedBenchmarkSession(
+                _plan(), sweep_k=SWEEP_K, **kwargs
+            )
+        with pytest.raises(Captured):
+            session.build()
+        assert [
+            (config.blocking_top_k, config.blocking_metrics)
+            for config in captured
+        ] == [(SWEEP_K, ("cosine", "dice"))] * N_SHARDS
+        assert all(bool(config.store_dir) == stored for config in captured)
+
+    def test_parent_runs_only_cross_shard_joins(self, monkeypatch, tmp_path):
+        # Process workers: only the parent's calls land in ``calls``.
+        calls = _count_joins(monkeypatch)
+        session = _store_session(
+            tmp_path / "store", executor="process"
+        ).build()
+        stats = session.sweep_stats
+        assert calls and all(calls)
+        assert len(calls) == stats.pairs_total - stats.pairs_skipped
+        assert (
+            _candidates_fingerprint(session.merged_join_candidates)
+            == EXPECTED_JOIN_SHA256
+        )
+
+    def test_resumed_session_reruns_no_self_join(
+        self, monkeypatch, store_root, store_session
+    ):
+        calls = _count_joins(monkeypatch)
+        session = _store_session(store_root / "serial").build()
+        assert set(session.health.statuses.values()) == {"checkpoint"}
+        assert calls and all(calls)
+        assert (
+            _candidates_fingerprint(session.merged_join_candidates)
+            == EXPECTED_JOIN_SHA256
+        )
+
+    def test_sweep_k_change_rebuilds_the_shards(
+        self, tmp_path, store_root, store_session
+    ):
+        root = tmp_path / "store"
+        shutil.copytree(store_root / "serial", root)
+        session = _store_session(root, sweep_k=SWEEP_K + 1).build()
+        assert set(session.health.statuses.values()) == {"built"}
+        assert all(
+            shard.blocked_candidates.k == SWEEP_K + 1
+            for shard in session.shards
+        )
+
+    def test_self_join_rows_include_the_worker_join(self, store_session):
+        timings = store_session.stage_timings
+        for shard in range(N_SHARDS):
+            worker = timings[f"shard:{shard}:blocking"]
+            assert 0.0 < worker <= timings[f"sweep:{shard}→{shard}"]
 
 
 class TestResumeAndFallback:
