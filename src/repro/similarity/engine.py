@@ -33,7 +33,9 @@ Since the serving layer landed, a *root* engine is also mutable:
   existing column ids never move) and tombstone retirement.  Embeddings
   are invalidated lazily (``refresh_embeddings``), the canonical
   token-set keys keep the shared :class:`BoundedPairCache` coherent
-  across mutations, and ``row_signatures`` serves a per-delta-version
+  across mutations, the :class:`TokenTable`'s Jaro–Winkler cache is
+  keyed on column ids and so survives them (its token ranks are
+  re-derived lazily), and ``row_signatures`` serves a per-delta-version
   cached :class:`~repro.similarity.signatures.RowSignatures` summary.
 * ``external_scores_batch`` / ``external_top_k_batch`` — scoring of
   query token sets that are *not* part of the universe, numerically
@@ -55,6 +57,7 @@ from repro.similarity.features import (
     TOKEN_METRICS,
     AttributeView,
     BoundedPairCache,
+    TokenTable,
     generalized_jaccard_batch,
 )
 from repro.similarity.signatures import RowSignatures
@@ -193,6 +196,9 @@ class SimilarityEngine:
             dtype=np.intp,
         )
         self._gj_cache = BoundedPairCache(gj_cache_entries)
+        # Token ranks and the Jaro–Winkler token-pair cache; built on
+        # first Generalized-Jaccard use, never here or in append().
+        self._token_table = TokenTable(vocabulary, gj_cache_entries)
         self._init_mutation_state(embedding_model=embedding_model)
 
     def _init_mutation_state(
@@ -218,12 +224,20 @@ class SimilarityEngine:
         prefilter: int,
         token_keys: np.ndarray,
         gj_cache: BoundedPairCache,
+        vocabulary: dict[str, int],
+        token_table: TokenTable | None = None,
     ) -> "SimilarityEngine":
+        """An engine over prebuilt parts; a fresh token table unless shared."""
         engine = cls.__new__(cls)
         engine.titles = titles
         engine.prefilter = prefilter
         engine.token_sets = token_sets
-        engine.vocabulary = {}
+        engine.vocabulary = vocabulary
+        engine._token_table = (
+            TokenTable(vocabulary, gj_cache.capacity)
+            if token_table is None
+            else token_table
+        )
         engine._matrix = matrix
         engine._set_sizes = set_sizes
         engine._embeddings = embeddings
@@ -250,7 +264,7 @@ class SimilarityEngine:
             raise ValueError(
                 f"store {store!r} holds no engine (built without one?)"
             )
-        engine = cls._from_parts(
+        return cls._from_parts(
             titles=parts["titles"],
             token_sets=parts["token_sets"],
             matrix=parts["matrix"],
@@ -259,12 +273,8 @@ class SimilarityEngine:
             prefilter=parts["prefilter"],
             token_keys=parts["token_keys"],
             gj_cache=parts["gj_cache"],
+            vocabulary=parts["vocabulary"],
         )
-        # _from_parts leaves the vocabulary empty (views share the
-        # parent's); a store-opened engine is a root engine, so restore
-        # the token → column map in sidecar column order.
-        engine.vocabulary = parts["vocabulary"]
-        return engine
 
     @classmethod
     def concat(
@@ -342,7 +352,7 @@ class SimilarityEngine:
             ],
             dtype=np.intp,
         )
-        combined = cls._from_parts(
+        return cls._from_parts(
             titles=titles,
             token_sets=token_sets,
             matrix=matrix,
@@ -357,9 +367,8 @@ class SimilarityEngine:
             ),
             token_keys=token_keys,
             gj_cache=BoundedPairCache(gj_cache_entries),
+            vocabulary=vocabulary,
         )
-        combined.vocabulary = vocabulary
-        return combined
 
     def view(self, indices: Sequence[int]) -> "SimilarityEngine":
         """A sub-engine over ``indices`` sharing this engine's precomputation.
@@ -385,8 +394,9 @@ class SimilarityEngine:
             prefilter=self.prefilter,
             token_keys=self._token_keys[rows],
             gj_cache=self._gj_cache,
+            vocabulary=self.vocabulary,
+            token_table=self._token_table,
         )
-        engine.vocabulary = self.vocabulary
         engine._is_view = True
         if self._retired is not None:
             sliced = self._retired[rows]
@@ -729,17 +739,20 @@ class SimilarityEngine:
 
         Pairs are deduped on the corpus-global canonical token-set ids (so
         duplicate titles score once) and served through the per-corpus
-        bounded cache every view shares; see
+        bounded cache every view shares.  Misses are scored straight off
+        the CSR token columns, with Jaro–Winkler token-pair scores from
+        the corpus token table; see
         :func:`~repro.similarity.features.generalized_jaccard_batch`.
         """
         rows_a = np.asarray(rows_a, dtype=np.intp).ravel()
         rows_b = np.asarray(rows_b, dtype=np.intp).ravel()
-        sets = self.token_sets
         return generalized_jaccard_batch(
-            [sets[int(row)] for row in rows_a],
-            [sets[int(row)] for row in rows_b],
+            rows_a,
+            rows_b,
             keys=(self._token_keys[rows_a], self._token_keys[rows_b]),
             cache=self._gj_cache,
+            table=self._token_table,
+            columns=(self._matrix.indptr, self._matrix.indices),
         )
 
     def _generalized_jaccard_block(

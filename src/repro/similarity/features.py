@@ -22,13 +22,15 @@ for *pair-shaped* workloads:
   becomes a masked argmax), followed by vectorized transposition counting
   and prefix boosting.
 * :func:`generalized_jaccard_batch` — Generalized Jaccard with soft token
-  matching over N explicit set pairs.  Requested pairs are deduped by
-  canonical token-set key, every needed symmetric-difference token pair is
-  scored through :func:`jaro_winkler_similarity_batch` in one pass, and
-  the greedy threshold matching runs as a masked argmax across all pairs
-  at once — the batched replacement for the engine's per-pair rescoring
-  loop.  :class:`BoundedPairCache` is its thread-safe, bounded score cache
-  (one per corpus, shared by every engine view).
+  matching over N explicit pairs, computed on CSR token columns.
+  Requested pairs are deduped by canonical token-set key, shared tokens
+  drop out by sorted membership, every symmetric-difference token pair is
+  scored through a :class:`TokenTable` (lexicographic column ranks plus a
+  Jaro–Winkler token-pair cache; only misses reach
+  :func:`jaro_winkler_similarity_batch`), and the greedy threshold
+  matching runs as a masked argmax across all pairs at once.
+  :class:`BoundedPairCache` is its thread-safe, bounded score cache.  Both
+  caches belong to one corpus and are shared by every engine view.
 
 All kernels are drop-in parity replacements for the scalar functions in
 ``similarity/token_based.py`` and ``similarity/character_based.py``; the
@@ -38,7 +40,7 @@ test-suite pins them together at 1e-9.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from itertools import islice
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "AttributeView",
     "BoundedPairCache",
     "TOKEN_METRICS",
+    "TokenTable",
     "generalized_jaccard_batch",
     "levenshtein_similarity_batch",
     "jaro_winkler_similarity_batch",
@@ -342,11 +345,21 @@ def jaro_winkler_similarity_batch(
         raise ValueError("left and right string lists must be aligned")
     n = len(lefts)
     out = np.empty(n, dtype=np.float64)
+    # Chunks of length-sorted pairs pad to their own longest string, not
+    # the batch's; a pair's score does not depend on its chunk.
+    longest = np.fromiter(
+        (max(len(left), len(right)) for left, right in zip(lefts, rights)),
+        dtype=np.intp,
+        count=n,
+    )
+    order = np.argsort(longest, kind="stable").tolist()
     for start in range(0, n, _CHAR_CHUNK):
-        chunk_l = list(lefts[start : start + _CHAR_CHUNK])
-        chunk_r = list(rights[start : start + _CHAR_CHUNK])
-        out[start : start + _CHAR_CHUNK] = _jaro_winkler_block(
-            chunk_l, chunk_r, prefix_scale=prefix_scale, max_prefix=max_prefix
+        rows = order[start : start + _CHAR_CHUNK]
+        out[rows] = _jaro_winkler_block(
+            [lefts[i] for i in rows],
+            [rights[i] for i in rows],
+            prefix_scale=prefix_scale,
+            max_prefix=max_prefix,
         )
     return out
 
@@ -492,6 +505,135 @@ class BoundedPairCache:
         self._lock = threading.Lock()
 
 
+class TokenTable:
+    """Corpus-level token order plus a Jaro–Winkler token-pair cache.
+
+    ``vocabulary`` lists the corpus tokens in column order (a
+    ``token -> column`` dict iterates that way).  It may grow append-only —
+    :meth:`SimilarityEngine.append` never moves an existing column — so
+    the table re-derives its lexicographic rank per column lazily, the
+    first time it is used after the vocabulary grew.  Ranks order the
+    Generalized-Jaccard greedy's tie-breaks; the JW cache is keyed on
+    column ids, which is why it survives a rank rebuild.
+
+    Cached values are ``JW(lexicographically smaller token, larger
+    token)`` — the orientation the scalar metric scores — under the
+    unordered column pair packed into one int64.  The cache is a sorted
+    key array searched with ``searchsorted``; once it would exceed
+    ``capacity`` entries it restarts from the newest batch.  One table
+    belongs to one corpus and is shared by every engine view over it.
+    """
+
+    def __init__(self, vocabulary: Collection[str], capacity: int = 1 << 20) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self._vocabulary = vocabulary
+        self._lock = threading.Lock()
+        self._fill_lock = threading.Lock()
+        self._tokens: list[str] = []
+        self._ranks = np.empty(0, dtype=np.int64)  # column -> rank
+        self._by_rank = np.empty(0, dtype=np.int64)  # rank -> column
+        self._jw_keys = np.empty(0, dtype=np.int64)
+        self._jw_values = np.empty(0, dtype=np.float64)
+
+    def __len__(self) -> int:
+        """Cached Jaro–Winkler token pairs."""
+        with self._lock:
+            return int(self._jw_keys.size)
+
+    def ordering(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """``(tokens, rank of each column, column of each rank)``.
+
+        Rebuilt only when the vocabulary has grown since the last call.
+        The old order is one sorted run and appended columns (assigned in
+        lexicographic order) another, so the re-sort is a linear merge.
+        """
+        with self._lock:
+            known = len(self._tokens)
+            if len(self._vocabulary) != known:
+                tokens = list(self._vocabulary)
+                by_rank = sorted(
+                    [*self._by_rank.tolist(), *range(known, len(tokens))],
+                    key=tokens.__getitem__,
+                )
+                self._by_rank = np.array(by_rank, dtype=np.int64)
+                ranks = np.empty(len(tokens), dtype=np.int64)
+                ranks[self._by_rank] = np.arange(len(tokens))
+                self._ranks = ranks
+                self._tokens = tokens
+            return self._tokens, self._ranks, self._by_rank
+
+    def jaro_winkler(
+        self,
+        cols_a: np.ndarray,
+        cols_b: np.ndarray,
+        tokens: list[str],
+        ranks: np.ndarray,
+    ) -> np.ndarray:
+        """JW of aligned distinct column pairs; only misses are scored."""
+        wanted = (np.minimum(cols_a, cols_b) << 32) | np.maximum(cols_a, cols_b)
+        out = np.empty(wanted.size, dtype=np.float64)
+        missed = self._lookup(wanted, out)
+        if not missed.any():
+            return out
+        misses, where = np.unique(wanted[missed], return_inverse=True)
+        scored = np.empty(misses.size, dtype=np.float64)
+        # One thread scores at a time, so concurrent ratio builds do not
+        # score the same token pairs twice; re-check what landed meanwhile.
+        with self._fill_lock:
+            todo = self._lookup(misses, scored)
+            if todo.any():
+                lo = misses[todo] >> 32
+                hi = misses[todo] & 0xFFFFFFFF
+                first = np.where(ranks[lo] < ranks[hi], lo, hi)
+                scored[todo] = jaro_winkler_similarity_batch(
+                    [tokens[i] for i in first.tolist()],
+                    [tokens[i] for i in (lo + hi - first).tolist()],
+                )
+                self._insert(misses[todo], scored[todo])
+        out[missed] = scored[where]
+        return out
+
+    def _lookup(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with cached values of ``keys``; returns the misses."""
+        with self._lock:
+            cached, values = self._jw_keys, self._jw_values
+        if cached.size == 0:
+            return np.ones(keys.size, dtype=bool)
+        # Binary searches run several times faster over sorted queries.
+        order = np.argsort(keys)
+        slots = np.empty(keys.size, dtype=np.intp)
+        slots[order] = np.searchsorted(cached, keys[order])
+        np.minimum(slots, cached.size - 1, out=slots)
+        found = cached[slots] == keys
+        out[found] = values[slots[found]]
+        return ~found
+
+    def _insert(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Merge sorted keys absent from the cache (caller holds the fill lock)."""
+        with self._lock:
+            if self._jw_keys.size + keys.size > self.capacity:
+                self._jw_keys = keys[: self.capacity]
+                self._jw_values = values[: self.capacity]
+            else:
+                slots = np.searchsorted(self._jw_keys, keys)
+                self._jw_keys = np.insert(self._jw_keys, slots, keys)
+                self._jw_values = np.insert(self._jw_values, slots, values)
+
+    # Process-local locks, as in BoundedPairCache.
+    def __getstate__(self) -> dict:
+        with self._lock:
+            state = dict(self.__dict__)
+        del state["_lock"], state["_fill_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+        self._fill_lock = threading.Lock()
+
+
 TokenSets = Sequence[str | Iterable[str]]
 
 
@@ -504,232 +646,261 @@ def _as_token_set(value: str | Iterable[str]) -> set[str]:
 
 
 def generalized_jaccard_batch(
-    lefts: TokenSets,
-    rights: TokenSets,
+    lefts: TokenSets | Sequence[int],
+    rights: TokenSets | Sequence[int],
     *,
     threshold: float = DEFAULT_SOFT_THRESHOLD,
     keys: tuple[Sequence[int], Sequence[int]] | None = None,
     cache: BoundedPairCache | None = None,
+    table: TokenTable | None = None,
+    columns: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Vectorized ``generalized_jaccard_similarity`` over aligned pairs.
 
-    ``lefts``/``rights`` hold raw strings (tokenized internally) or
-    pre-built token sets.  ``keys`` are optional canonical token-set ids
-    per side — rows with equal ids must have equal token sets — which let
-    the engine dedupe duplicate titles without re-hashing; without them,
-    pairs are canonicalized by frozenset.  Each distinct unordered key
-    pair is scored once, through ``cache`` when given (the cache key is
-    the canonical pair, so callers must pass corpus-stable ids and a
-    consistent ``threshold``).
+    Two input forms share one kernel:
 
-    The scoring itself batches the paper's soft matching: identical
-    tokens are matched outright, every symmetric-difference token pair is
-    scored through :func:`jaro_winkler_similarity_batch` in one deduped
-    pass, and the greedy descending-score matching runs as a masked
-    argmax across all set pairs simultaneously.
+    * ``table`` plus ``columns=(indptr, indices)`` — the engine's form:
+      ``lefts``/``rights`` are row ids into those CSR token columns, whose
+      column ids index ``table``.
+    * otherwise ``lefts``/``rights`` hold raw strings (tokenized
+      internally) or token sets, scored through a throwaway table.
+
+    ``keys`` are canonical token-set ids per side — rows with equal ids
+    must have equal token sets — so duplicate titles score once; without
+    them pairs are canonicalized by frozenset.  Each distinct unordered
+    key pair is scored once, through ``cache`` when given.  The cache key
+    is the canonical pair, so a cache requires corpus-stable ``keys`` (call-
+    local ids would collide across calls) and a consistent ``threshold``.
+
+    Identical tokens are matched outright; every symmetric-difference
+    token pair is scored through ``table``'s Jaro–Winkler cache, and the
+    greedy descending-score matching runs as a masked argmax across all
+    set pairs at once.
     """
     if len(lefts) != len(rights):
         raise ValueError("left and right token-set lists must be aligned")
-    sets_l = [_as_token_set(value) for value in lefts]
-    sets_r = [_as_token_set(value) for value in rights]
-    n = len(sets_l)
+    if cache is not None and keys is None:
+        raise ValueError("a shared cache needs corpus-stable keys")
+    if (table is None) != (columns is None):
+        raise ValueError("table and columns must be given together")
+    n = len(lefts)
+    if table is None:
+        sets = [_as_token_set(value) for value in (*lefts, *rights)]
+        if keys is None:
+            canon: dict[frozenset, int] = {}
+            ids = [canon.setdefault(frozenset(s), len(canon)) for s in sets]
+            keys = (ids[:n], ids[n:])
+        vocabulary: dict[str, int] = {}
+        indices = np.fromiter(
+            (vocabulary.setdefault(t, len(vocabulary)) for s in sets for t in s),
+            dtype=np.int64,
+        )
+        indptr = np.zeros(2 * n + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in sets], out=indptr[1:])
+        table = TokenTable(vocabulary)
+        rows_a = np.arange(n, dtype=np.int64)
+        rows_b = rows_a + n
+    elif keys is None:
+        raise ValueError("row-id input needs canonical token-set keys")
+    else:
+        indptr, indices = columns
+        rows_a = np.asarray(lefts, dtype=np.int64).reshape(-1)
+        rows_b = np.asarray(rights, dtype=np.int64).reshape(-1)
+    keys_a = np.asarray(keys[0], dtype=np.int64)
+    keys_b = np.asarray(keys[1], dtype=np.int64)
+    if keys_a.shape != (n,) or keys_b.shape != (n,):
+        raise ValueError("keys must align with the pair lists")
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
 
-    if keys is None:
-        canon: dict[frozenset, int] = {}
-        keys_a = np.array(
-            [canon.setdefault(frozenset(s), len(canon)) for s in sets_l],
-            dtype=np.intp,
-        )
-        keys_b = np.array(
-            [canon.setdefault(frozenset(s), len(canon)) for s in sets_r],
-            dtype=np.intp,
-        )
-    else:
-        keys_a = np.asarray(keys[0], dtype=np.intp)
-        keys_b = np.asarray(keys[1], dtype=np.intp)
-        if keys_a.shape != (n,) or keys_b.shape != (n,):
-            raise ValueError("keys must align with the pair lists")
-
-    sizes_a = np.array([len(s) for s in sets_l], dtype=np.intp)
-    sizes_b = np.array([len(s) for s in sets_r], dtype=np.intp)
+    sizes_a = indptr[rows_a + 1] - indptr[rows_a]
+    sizes_b = indptr[rows_b + 1] - indptr[rows_b]
     both_empty = (sizes_a == 0) & (sizes_b == 0)
     any_empty = (sizes_a == 0) | (sizes_b == 0)
     identical = keys_a == keys_b
     out[any_empty] = 0.0
     out[both_empty] = 1.0
-    # Identical non-empty sets match fully at any reachable threshold; a
-    # threshold above 1.0 rejects even identical tokens (scalar semantics).
+    # Identical non-empty sets match fully at any reachable threshold.  A
+    # threshold above 1.0 rejects even identical tokens (scalar
+    # semantics), so every non-empty pair then scores 0.0.
     out[identical & ~any_empty] = 1.0 if threshold <= 1.0 else 0.0
-
     hard = np.flatnonzero(~identical & ~any_empty)
     if hard.size == 0:
         return out
+    if threshold > 1.0:
+        out[hard] = 0.0
+        return out
 
-    # Dedup on canonical unordered key pairs; remember one representative
-    # row per distinct pair (its orientation is the one scored, exactly as
-    # the scalar cache stored the first-seen orientation).
-    slots: dict[tuple[int, int], int] = {}
-    slot_of = np.empty(hard.size, dtype=np.intp)
-    unique_keys: list[tuple[int, int]] = []
-    representatives: list[int] = []
-    for position, index in enumerate(hard):
-        key_a = int(keys_a[index])
-        key_b = int(keys_b[index])
-        key = (key_a, key_b) if key_a < key_b else (key_b, key_a)
-        slot = slots.get(key)
-        if slot is None:
-            slot = len(unique_keys)
-            slots[key] = slot
-            unique_keys.append(key)
-            representatives.append(int(index))
-        slot_of[position] = slot
-
-    values = np.empty(len(unique_keys), dtype=np.float64)
+    # Dedup on canonical unordered key pairs; the first-seen orientation
+    # of each distinct pair is the one scored, as the scalar cache did.
+    lo = np.minimum(keys_a[hard], keys_b[hard])
+    hi = np.maximum(keys_a[hard], keys_b[hard])
+    distinct, first, slot_of = np.unique(
+        (lo << 32) | hi, return_index=True, return_inverse=True
+    )
+    values = np.empty(distinct.size, dtype=np.float64)
+    missing = np.arange(distinct.size)
     if cache is not None:
-        cached = cache.get_many(unique_keys)
-        missing = [
-            slot for slot, key in enumerate(unique_keys) if key not in cached
-        ]
-        for slot, key in enumerate(unique_keys):
-            if key in cached:
-                values[slot] = cached[key]
-    else:
-        missing = list(range(len(unique_keys)))
-    if missing:
-        computed = _generalized_jaccard_unique(
-            [(sets_l[representatives[s]], sets_r[representatives[s]]) for s in missing],
+        pair_keys = list(
+            zip((distinct >> 32).tolist(), (distinct & 0xFFFFFFFF).tolist())
+        )
+        hits = cache.get_many(pair_keys)
+        values[:] = [hits.get(key, np.nan) for key in pair_keys]
+        missing = np.flatnonzero(np.isnan(values))  # GJ is never NaN
+    if missing.size:
+        representatives = hard[first[missing]]
+        computed = _generalized_jaccard_rows(
+            rows_a[representatives],
+            rows_b[representatives],
+            indptr,
+            indices,
+            table,
             threshold=threshold,
         )
         values[missing] = computed
         if cache is not None:
             cache.put_many(
-                (unique_keys[s], float(score))
-                for s, score in zip(missing, computed)
+                zip((pair_keys[s] for s in missing.tolist()), computed.tolist())
             )
     out[hard] = values[slot_of]
     return out
 
 
-def _generalized_jaccard_unique(
-    set_pairs: list[tuple[set[str], set[str]]], *, threshold: float
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    starts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
+
+
+def _rank_keys(
+    rows: np.ndarray, indptr: np.ndarray, indices: np.ndarray, ranks: np.ndarray
 ) -> np.ndarray:
-    """Score distinct, non-trivial (non-empty, non-identical) set pairs.
+    """Each row's token ranks as sorted ``pair * n_ranks + rank`` keys."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    pair = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
+    positions = np.arange(pair.size) + np.repeat(
+        starts - _exclusive_cumsum(lens), lens
+    )
+    keys = pair * ranks.size + ranks[indices[positions]]
+    keys.sort()
+    return keys
+
+
+def _sorted_member(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Which entries of ``values`` occur in the sorted array ``pool``."""
+    if pool.size == 0:
+        return np.zeros(values.size, dtype=bool)
+    slots = np.minimum(np.searchsorted(pool, values), pool.size - 1)
+    return pool[slots] == values
+
+
+def _generalized_jaccard_rows(
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    table: TokenTable,
+    *,
+    threshold: float,
+) -> np.ndarray:
+    """Score distinct, non-trivial (non-empty, non-identical) row pairs.
 
     Shared tokens are matched outright (only score-1.0 pairs are
     identical-token pairs, and the greedy pass consumes them first), so
-    the soft matching is restricted to the symmetric difference — unless
-    the threshold exceeds 1.0, where not even identical tokens match and
-    the full sets enter the (then fruitless) soft pass.
+    the soft matching is restricted to the symmetric difference.  Each
+    side's remaining tokens are sorted by lexicographic rank, so the
+    flattened cross product runs in the (token_a, token_b) order of the
+    scalar greedy's tie-break and the argmax picks the same pair.
     """
-    n_pairs = len(set_pairs)
-    rest_a: list[list[str]] = []
-    rest_b: list[list[str]] = []
-    mass = np.empty(n_pairs, dtype=np.float64)
-    matches = np.empty(n_pairs, dtype=np.intp)
-    total_sizes = np.empty(n_pairs, dtype=np.float64)
-    for p, (a, b) in enumerate(set_pairs):
-        if threshold <= 1.0:
-            common = a & b
-            rest_a.append(sorted(a - common))
-            rest_b.append(sorted(b - common))
-            base = len(common)
-        else:
-            rest_a.append(sorted(a))
-            rest_b.append(sorted(b))
-            base = 0
-        mass[p] = float(base)
-        matches[p] = base
-        total_sizes[p] = len(a) + len(b)
+    tokens, ranks, by_rank = table.ordering()
+    n_ranks = ranks.size
+    n_pairs = rows_a.size
+    side_a = _rank_keys(rows_a, indptr, indices, ranks)
+    side_b = _rank_keys(rows_b, indptr, indices, ranks)
+    shared_a = _sorted_member(side_a, side_b)
+    shared_b = _sorted_member(side_b, side_a)
+    common = np.bincount(side_a[shared_a] // n_ranks, minlength=n_pairs)
+    mass = common.astype(np.float64)
+    matches = common.copy()
+    total_sizes = (
+        np.bincount(side_a // n_ranks, minlength=n_pairs)
+        + np.bincount(side_b // n_ranks, minlength=n_pairs)
+    ).astype(np.float64)
 
-    len_a = np.array([len(rest) for rest in rest_a], dtype=np.intp)
-    len_b = np.array([len(rest) for rest in rest_b], dtype=np.intp)
+    rest_a = side_a[~shared_a]
+    rest_b = side_b[~shared_b]
+    len_a = np.bincount(rest_a // n_ranks, minlength=n_pairs)
+    len_b = np.bincount(rest_b // n_ranks, minlength=n_pairs)
+    cols_a = by_rank[rest_a % n_ranks]
+    cols_b = by_rank[rest_b % n_ranks]
+    offsets_a = _exclusive_cumsum(len_a)
+    offsets_b = _exclusive_cumsum(len_b)
     counts = len_a * len_b
-    total = int(counts.sum())
-    if total:
-        # Rank-order the token vocabulary so integer order equals the
-        # lexicographic order the scalar greedy tie-break uses.
-        vocab = sorted(
-            {token for rests in (rest_a, rest_b) for rest in rests for token in rest}
-        )
-        rank = {token: i for i, token in enumerate(vocab)}
-        ids_a = np.fromiter(
-            (rank[token] for rest in rest_a for token in rest),
-            dtype=np.int64,
-            count=int(len_a.sum()),
-        )
-        ids_b = np.fromiter(
-            (rank[token] for rest in rest_b for token in rest),
-            dtype=np.int64,
-            count=int(len_b.sum()),
-        )
-        offsets_a = np.concatenate(([0], np.cumsum(len_a)[:-1]))
-        offsets_b = np.concatenate(([0], np.cumsum(len_b)[:-1]))
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
-        # The full cross product rest_a x rest_b of every pair, flattened
-        # row-major so index order equals (token_a, token_b) lex order.
-        pair_idx = np.repeat(np.arange(n_pairs), counts)
-        within = np.arange(total) - starts[pair_idx]
-        i_a = within // len_b[pair_idx]
-        i_b = within - i_a * len_b[pair_idx]
-        left_ids = ids_a[offsets_a[pair_idx] + i_a]
-        right_ids = ids_b[offsets_b[pair_idx] + i_b]
-
-        # One Jaro-Winkler pass over the distinct token pairs, canonically
-        # ordered (JW is symmetric; ordering doubles the dedup rate).
-        n_vocab = len(vocab)
-        lo = np.minimum(left_ids, right_ids)
-        hi = np.maximum(left_ids, right_ids)
-        combos, inverse = np.unique(lo * n_vocab + hi, return_inverse=True)
-        pair_scores = jaro_winkler_similarity_batch(
-            [vocab[int(i)] for i in combos // n_vocab],
-            [vocab[int(i)] for i in combos % n_vocab],
+    # The cross products are flattened row-major and cut into chunks whose
+    # padded (pairs, rest_a, rest_b) block stays within a dense-cell
+    # budget — one pathologically long title cannot inflate the padding
+    # of thousands of small pairs into a multi-GB allocation.
+    start = 0
+    while start < n_pairs:
+        window = slice(start, min(start + _PAIR_CHUNK, n_pairs))
+        cells = (
+            np.arange(1, window.stop - start + 1)
+            * np.maximum.accumulate(len_a[window])
+            * np.maximum.accumulate(len_b[window])
         )
-        element_scores = pair_scores[inverse]
-
-        # Greedy threshold matching, one masked argmax per round across a
-        # bounded block of set pairs.  Blocks are padded to the chunk-wide
-        # max rest sizes, so chunk boundaries follow a dense-cell budget —
-        # one pathologically long title cannot inflate the padding of
-        # thousands of small pairs into a multi-GB allocation.
-        start = 0
-        while start < n_pairs:
-            stop = start + 1
-            max_a = int(len_a[start])
-            max_b = int(len_b[start])
-            while stop < n_pairs and stop - start < _PAIR_CHUNK:
-                next_a = max(max_a, int(len_a[stop]))
-                next_b = max(max_b, int(len_b[stop]))
-                if (stop - start + 1) * next_a * next_b > _GREEDY_CELL_BUDGET:
-                    break
-                max_a, max_b = next_a, next_b
-                stop += 1
-            chunk_total = int(counts[start:stop].sum())
-            if chunk_total == 0:
-                start = stop
-                continue
-            element_start = int(starts[start])
-            elements = slice(element_start, element_start + chunk_total)
-            block = np.full((stop - start, max_a, max_b), -np.inf)
-            block[
-                pair_idx[elements] - start, i_a[elements], i_b[elements]
-            ] = element_scores[elements]
-            block[block < threshold] = -np.inf
-            flat = block.reshape(stop - start, max_a * max_b)
-            row_range = np.arange(stop - start)
-            while True:
-                best = flat.argmax(axis=1)
-                best_scores = flat[row_range, best]
-                live = np.flatnonzero(best_scores >= threshold)
-                if live.size == 0:
-                    break
-                chosen = best[live]
-                mass[start + live] += best_scores[live]
-                matches[start + live] += 1
-                block[live, chosen // max_b, :] = -np.inf
-                block[live, :, chosen % max_b] = -np.inf
-            start = stop
+        stop = start + max(1, int(np.searchsorted(cells, _GREEDY_CELL_BUDGET, "right")))
+        chunk_counts = counts[start:stop]
+        local = np.repeat(np.arange(stop - start), chunk_counts)
+        within = np.arange(local.size) - _exclusive_cumsum(chunk_counts)[local]
+        pair = local + start
+        i_a = within // len_b[pair]
+        i_b = within - i_a * len_b[pair]
+        scores = table.jaro_winkler(
+            cols_a[offsets_a[pair] + i_a], cols_b[offsets_b[pair] + i_b], tokens, ranks
+        )
+        keep = scores >= threshold
+        if keep.any():
+            _greedy_match(
+                pair[keep], i_a[keep], i_b[keep], scores[keep], threshold, mass, matches
+            )
+        start = stop
     return mass / (total_sizes - matches)
+
+
+def _greedy_match(
+    pair: np.ndarray,
+    i_a: np.ndarray,
+    i_b: np.ndarray,
+    scores: np.ndarray,
+    threshold: float,
+    mass: np.ndarray,
+    matches: np.ndarray,
+) -> None:
+    """Greedy threshold matching, one masked argmax per round.
+
+    ``scores`` are the token pairs at or above ``threshold``, at their
+    cross-product positions ``(i_a, i_b)``; only pairs holding one enter
+    the dense block.  Row-major argmax takes the first maximum, the
+    scalar metric's (token_a, token_b) tie-break.  ``mass``/``matches``
+    accumulate in place.
+    """
+    live, row = np.unique(pair, return_inverse=True)
+    width_b = int(i_b.max()) + 1
+    block = np.full((live.size, int(i_a.max()) + 1, width_b), -np.inf)
+    block[row, i_a, i_b] = scores
+    flat = block.reshape(live.size, -1)
+    row_range = np.arange(live.size)
+    while True:
+        best = flat.argmax(axis=1)
+        best_scores = flat[row_range, best]
+        hit = np.flatnonzero(best_scores >= threshold)
+        if hit.size == 0:
+            break
+        chosen = best[hit]
+        mass[live[hit]] += best_scores[hit]
+        matches[live[hit]] += 1
+        block[hit, chosen // width_b, :] = -np.inf
+        block[hit, :, chosen % width_b] = -np.inf

@@ -115,6 +115,29 @@ class TestCanonicalKeyDedup:
         again = generalized_jaccard_batch(lefts, rights, keys=keys, cache=cache)
         np.testing.assert_array_equal(batch, again)
 
+    def test_cache_without_keys_raises(self):
+        # Call-local canonical ids restart at 0 on every call, so a shared
+        # cache would serve the first call's (0, 1) score to the second.
+        cache = BoundedPairCache()
+        with pytest.raises(ValueError, match="keys"):
+            generalized_jaccard_batch(
+                ["sandisk ultra 32gb"], ["sandisc ultra 64gb"], cache=cache
+            )
+        assert len(cache) == 0
+
+    def test_corpus_keys_keep_cached_scores_apart(self):
+        cache = BoundedPairCache()
+        first = generalized_jaccard_batch(
+            ["sandisk ultra 32gb"], ["sandisc ultra 64gb"],
+            keys=([0], [1]), cache=cache,
+        )
+        second = generalized_jaccard_batch(
+            ["exatron vortex drive"], ["soniq tranquil headphones"],
+            keys=([2], [3]), cache=cache,
+        )
+        assert first[0] == pytest.approx(0.4857, abs=1e-4)
+        assert second[0] == 0.0
+
     def test_identical_keys_shortcut_without_cache_entries(self):
         cache = BoundedPairCache()
         batch = generalized_jaccard_batch(
