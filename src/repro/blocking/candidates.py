@@ -131,13 +131,14 @@ class BlockedPairSet:
     def with_group_positives(self) -> "BlockedPairSet":
         """This set plus every within-group pair the join did not surface.
 
-        The completion that ``candidates(include_group_positives=True)``
-        applies, factored out so one raw join can serve both the gated
-        join-only recall recording and the training-shaped completed set
-        without running the top-k sweep twice.  Returns a new set; pairs
-        keep their order with the completed positives appended (metric
-        ``"group"``, rank ``-1``, cosine score), exactly as the inline
-        completion has always ordered them.
+        Supervised training data takes its positives from the ground-truth
+        clusters and lets the join supply the hard negatives, so no
+        positive is ever lost to a low-similarity noise offer.  One raw
+        join serves both the gated join-only recall recording and this
+        training-shaped completed set without running the top-k sweep
+        twice.  Returns a new set; pairs keep their order with the
+        completed positives appended (metric ``"group"``, rank ``-1``,
+        cosine score).
         """
         blocker = self.blocker
         group_ids = blocker._group_ids
@@ -296,7 +297,6 @@ class CandidateBlocker:
         metrics: Sequence[str] = ("cosine",),
         exclude_same_group: bool = False,
         exclude_same_partition: Sequence[int] | np.ndarray | None = None,
-        include_group_positives: bool = False,
     ) -> BlockedPairSet:
         """Top-``k`` candidates of every query row under each metric.
 
@@ -319,12 +319,8 @@ class CandidateBlocker:
         comparison rides the engine's chunked group exclusion, so no
         ``(queries, universe)`` boolean matrix is materialized.
 
-        ``include_group_positives`` appends every within-group pair the
-        join did not surface (metric ``"group"``, rank ``-1``, cosine
-        score): supervised training data takes its positives from the
-        ground-truth clusters and lets the join supply the hard
-        negatives, so no positive is ever lost to a low-similarity noise
-        offer.
+        Supervised training data completes the join with
+        :meth:`BlockedPairSet.with_group_positives`.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -334,14 +330,8 @@ class CandidateBlocker:
             else np.asarray(list(query_rows), dtype=np.intp)
         )
         group_ids = self._group_ids
-        if (exclude_same_group or include_group_positives) and group_ids is None:
-            raise ValueError(
-                "exclude_same_group/include_group_positives need group labels"
-            )
-        if exclude_same_group and include_group_positives:
-            raise ValueError(
-                "exclude_same_group and include_group_positives are exclusive"
-            )
+        if exclude_same_group and group_ids is None:
+            raise ValueError("exclude_same_group needs group labels")
         partition = None
         if exclude_same_partition is not None:
             if exclude_same_group:
@@ -349,13 +339,6 @@ class CandidateBlocker:
                     "exclude_same_group and exclude_same_partition are "
                     "exclusive (a partition already masks the query's own "
                     "sub-universe, clusters and all)"
-                )
-            if include_group_positives:
-                raise ValueError(
-                    "exclude_same_partition and include_group_positives are "
-                    "exclusive (groups never span partitions, so completing "
-                    "them would re-admit the same-partition pairs the "
-                    "restriction excludes)"
                 )
             partition = np.asarray(exclude_same_partition).ravel()
             if partition.size != len(self.engine):
@@ -403,13 +386,10 @@ class CandidateBlocker:
                             rank=rank,
                         )
                     )
-        blocked = BlockedPairSet(
+        return BlockedPairSet(
             self,
             pairs,
             k=k,
             metrics=tuple(metrics),
             n_queries=int(queries.size),
         )
-        if include_group_positives:
-            blocked = blocked.with_group_positives()
-        return blocked

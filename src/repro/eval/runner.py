@@ -282,10 +282,8 @@ class ExperimentRunner:
         blocker = CandidateBlocker.over_entries(engine, entries, offer_rows)
         if metrics is None:
             metrics = blocker.engine.metric_names
-        blocked = blocker.candidates(
-            k=k, metrics=metrics, include_group_positives=True
-        )
-        return blocked.to_dataset(name)
+        blocked = blocker.candidates(k=k, metrics=metrics)
+        return blocked.with_group_positives().to_dataset(name)
 
     def blocked_pairwise(
         self,

@@ -58,6 +58,7 @@ from repro.shard.plan import ShardPlan
 from repro.shard.namespace import namespace_id
 from repro.shard.signature_index import SignatureIndex, SweepPruneStats
 from repro.shard.supervisor import (
+    EXECUTORS,
     FAILURE_POLICIES,
     RetryPolicy,
     SessionHealth,
@@ -82,8 +83,6 @@ __all__ = [
     "SWEEP_MODES",
     "FAILURE_POLICIES",
 ]
-
-_EXECUTORS = ("process", "thread", "serial")
 
 SWEEP_MODES = ("signature", "exhaustive")
 
@@ -511,9 +510,9 @@ class ShardedBenchmarkSession:
         fault_plan: FaultPlan | None = None,
         sleep=time.sleep,
     ) -> None:
-        if executor not in _EXECUTORS:
+        if executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
+                f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
         if sweep_mode not in SWEEP_MODES:
             raise ValueError(

@@ -26,8 +26,8 @@ collected in shard order, failures schedule the next wave after one
 exponential-backoff sleep (``backoff_base * 2**(attempt-1)``, capped).
 The process executor enforces the wall-clock ``timeout`` preemptively —
 a wave that times out or breaks its pool has the pool's workers
-terminated and a fresh pool built for the next wave; serial and thread
-executors cannot preempt a running build and classify post-hoc on the
+terminated and a fresh pool built for the next wave; the serial
+executor cannot preempt a running build and classifies post-hoc on the
 attempt's measured elapsed time (the worker-side build clock, so queue
 wait is never billed as build time).
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -69,10 +69,11 @@ __all__ = [
     "SessionHealth",
     "ShardSupervisor",
     "respawn_config",
+    "EXECUTORS",
     "FAILURE_POLICIES",
 ]
 
-_EXECUTORS = ("process", "thread", "serial")
+EXECUTORS = ("process", "serial")
 
 FAILURE_POLICIES = ("raise", "degrade")
 
@@ -296,9 +297,9 @@ class ShardSupervisor:
         sleep=time.sleep,
         build_fn=None,
     ) -> None:
-        if executor not in _EXECUTORS:
+        if executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
+                f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
@@ -414,23 +415,6 @@ class ShardSupervisor:
                 )
         return results
 
-    def _thread_wave(self, wave, pending) -> dict:
-        workers = self.max_workers or len(self.configs)
-        results = {}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for shard in wave:
-                args, kwargs = self._submit_args(shard, pending[shard])
-                futures[shard] = pool.submit(self.build_fn, *args, **kwargs)
-            for shard in wave:
-                with Timer() as timer:
-                    try:
-                        payload = futures[shard].result()
-                        results[shard] = (True, payload, payload[2])
-                    except Exception as error:
-                        results[shard] = (False, error, timer.elapsed)
-        return results
-
     def _process_wave(self, wave, pending) -> dict:
         results = {}
         pool = self._ensure_pool()
@@ -479,8 +463,6 @@ class ShardSupervisor:
     def _run_wave(self, wave, pending) -> dict:
         if self.executor == "process" and len(self.configs) > 1:
             return self._process_wave(wave, pending)
-        if self.executor == "thread" and len(self.configs) > 1:
-            return self._thread_wave(wave, pending)
         return self._serial_wave(wave, pending)
 
     # ------------------------------------------------------------------ #
@@ -543,8 +525,9 @@ class ShardSupervisor:
                             self.policy.timeout is not None
                             and build_elapsed > self.policy.timeout
                         ):
-                            # Post-hoc enforcement for executors that
-                            # cannot preempt (and late process results).
+                            # Post-hoc enforcement for the serial
+                            # executor, which cannot preempt (and for
+                            # late process results).
                             error = ShardTimeoutError(
                                 f"shard {shard} attempt {state.attempt} "
                                 f"took {build_elapsed:.2f}s, over the "

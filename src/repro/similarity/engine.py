@@ -11,7 +11,13 @@ NumPy/SciPy kernels:
 * ``scores_batch`` / ``scores`` — similarities of query rows against the
   whole universe (Generalized Jaccard is rescored exactly on a
   cosine-prefiltered candidate set, exactly like the paper's top-k use),
-* ``top_k_batch`` / ``top_k`` — most-similar lookups with exclusion masks,
+* ``top_k_batch`` / ``top_k_scores_batch`` / ``top_k`` — most-similar
+  lookups with self-exclusion, exclusion masks and group exclusion,
+* ``external_scores_batch`` / ``external_top_k_batch`` — the same for
+  query token sets that are *not* part of the universe (the serving
+  path), numerically identical to append-then-score-then-retire
+  (out-of-vocabulary query tokens count toward set sizes but intersect
+  nothing),
 * ``rank`` — exact ranking of an explicit candidate subset for a query,
 * ``pairwise_matrix`` — exact symmetric similarity matrix of a subset,
 * ``view`` — a cheap sub-engine over a row subset (no re-tokenization),
@@ -23,30 +29,38 @@ NumPy/SciPy kernels:
   token-set metrics over N explicit pairs are a handful of sparse matrix
   ops (see :mod:`repro.similarity.features`).
 
+One scoring core serves all of them.  Every incidence matrix comes from
+:func:`~repro.similarity.features.token_incidence` and every canonical
+token-set id from :func:`~repro.similarity.features.canonical_keys`;
+every token metric is one call of
+:func:`~repro.similarity.features.token_metric`, which broadcasts over
+query blocks, candidate subsets and pairwise matrices alike.  Internal
+and external queries share one chunked block scorer, one
+Generalized-Jaccard prefilter-rescore and one top-k loop; they differ only
+in where query rows come from and in the rescoring call (internal rows
+use the cached ``generalized_jaccard_pairs``; external token sets the
+uncached ``generalized_jaccard_batch``, so a query never writes the
+shared pair cache).
+
 The sparse/dense kernels release the GIL, so independent corner-case-ratio
 builds can share one engine across worker threads.
 
-Since the serving layer landed, a *root* engine is also mutable:
-
-* ``append`` / ``retire`` — amortized-O(delta) row-block appends into
-  capacity-doubling CSR buffers (the vocabulary grows append-only, so
-  existing column ids never move) and tombstone retirement.  Embeddings
-  are invalidated lazily (``refresh_embeddings``), the canonical
-  token-set keys keep the shared :class:`BoundedPairCache` coherent
-  across mutations, the :class:`TokenTable`'s Jaro–Winkler cache is
-  keyed on column ids and so survives them (its token ranks are
-  re-derived lazily), and ``row_signatures`` serves a per-delta-version
-  cached :class:`~repro.similarity.signatures.RowSignatures` summary.
-* ``external_scores_batch`` / ``external_top_k_batch`` — scoring of
-  query token sets that are *not* part of the universe, numerically
-  identical to append-then-score-then-retire (out-of-vocabulary query
-  tokens count toward set sizes but intersect nothing).
+A *root* engine is also mutable (``append`` / ``retire``):
+amortized-O(delta) row-block appends into capacity-doubling CSR buffers
+(the vocabulary grows append-only, so existing column ids never move) and
+tombstone retirement.  Embeddings are invalidated lazily
+(``refresh_embeddings``), the canonical token-set keys keep the shared
+:class:`BoundedPairCache` coherent across mutations, the
+:class:`TokenTable`'s Jaro–Winkler cache is keyed on column ids and so
+survives them (its token ranks are re-derived lazily), and
+``row_signatures`` serves a per-delta-version cached
+:class:`~repro.similarity.signatures.RowSignatures` summary.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -58,7 +72,10 @@ from repro.similarity.features import (
     AttributeView,
     BoundedPairCache,
     TokenTable,
+    canonical_keys,
     generalized_jaccard_batch,
+    token_incidence,
+    token_metric,
 )
 from repro.similarity.signatures import RowSignatures
 from repro.text.tokenize import tokenize
@@ -68,6 +85,7 @@ __all__ = ["SimilarityEngine"]
 _GEN_JACCARD_PREFILTER = 48
 _BATCH_ROWS = 256  # cap on dense (queries x universe) score blocks
 _GJ_CACHE_ENTRIES = 1 << 20  # per-corpus Generalized-Jaccard pair cache bound
+_TOKEN_SCORED = ("cosine", "dice", "generalized_jaccard")
 
 
 def _grow(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
@@ -110,29 +128,25 @@ class _RowBuffers:
         self.n_retired = 0
 
     def append_rows(
-        self,
-        row_columns: Sequence[np.ndarray],
-        keys: Sequence[int],
-        sizes: Sequence[float],
+        self, block: csr_matrix, keys: np.ndarray, sizes: np.ndarray
     ) -> None:
-        extra_rows = len(row_columns)
-        extra_nnz = int(sum(columns.size for columns in row_columns))
-        self.data = _grow(self.data, self.nnz, extra_nnz)
-        self.indices = _grow(self.indices, self.nnz, extra_nnz)
-        self.indptr = _grow(self.indptr, self.rows + 1, extra_rows)
-        self.sizes = _grow(self.sizes, self.rows, extra_rows)
-        self.keys = _grow(self.keys, self.rows, extra_rows)
-        self.retired = _grow(self.retired, self.rows, extra_rows)
-        for columns, key, size in zip(row_columns, keys, sizes):
-            end = self.nnz + columns.size
-            self.data[self.nnz : end] = 1.0
-            self.indices[self.nnz : end] = columns
-            self.sizes[self.rows] = size
-            self.keys[self.rows] = key
-            self.retired[self.rows] = False
-            self.rows += 1
-            self.nnz = end
-            self.indptr[self.rows] = end
+        """Append ``block``'s binary CSR rows with their keys and set sizes."""
+        extra_rows, extra_nnz = block.shape[0], int(block.nnz)
+        rows, nnz = self.rows, self.nnz
+        self.data = _grow(self.data, nnz, extra_nnz)
+        self.indices = _grow(self.indices, nnz, extra_nnz)
+        self.indptr = _grow(self.indptr, rows + 1, extra_rows)
+        self.sizes = _grow(self.sizes, rows, extra_rows)
+        self.keys = _grow(self.keys, rows, extra_rows)
+        self.retired = _grow(self.retired, rows, extra_rows)
+        self.data[nnz : nnz + extra_nnz] = 1.0
+        self.indices[nnz : nnz + extra_nnz] = block.indices
+        self.indptr[rows + 1 : rows + 1 + extra_rows] = nnz + block.indptr[1:]
+        self.sizes[rows : rows + extra_rows] = sizes
+        self.keys[rows : rows + extra_rows] = keys
+        self.retired[rows : rows + extra_rows] = False
+        self.rows += extra_rows
+        self.nnz += extra_nnz
 
 
 class SimilarityEngine:
@@ -154,24 +168,9 @@ class SimilarityEngine:
         self.token_sets: list[set[str]] = [
             set(tokenize(title)) for title in self.titles
         ]
-
-        vocabulary: dict[str, int] = {}
-        rows: list[int] = []
-        cols: list[int] = []
-        for row, tokens in enumerate(self.token_sets):
-            for token in tokens:
-                col = vocabulary.setdefault(token, len(vocabulary))
-                rows.append(row)
-                cols.append(col)
-        n = len(self.titles)
-        self.vocabulary = vocabulary
-        self._matrix = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(n, max(len(vocabulary), 1)),
-            dtype=np.float64,
-        )
-        self._set_sizes = np.array(
-            [len(tokens) for tokens in self.token_sets], dtype=np.float64
+        self.vocabulary: dict[str, int] = {}
+        self._matrix, self._set_sizes = token_incidence(
+            self.token_sets, self.vocabulary
         )
 
         self._attributes: dict[str, list[str | None]] = {}
@@ -187,18 +186,11 @@ class SimilarityEngine:
         # Canonical id per distinct token set: rows with identical token
         # sets share an id, so the Generalized-Jaccard pair cache (bounded,
         # lock-protected, shared with every view) dedupes duplicate titles.
-        canon: dict[frozenset, int] = {}
-        self._token_keys = np.array(
-            [
-                canon.setdefault(frozenset(tokens), len(canon))
-                for tokens in self.token_sets
-            ],
-            dtype=np.intp,
-        )
+        self._token_keys = canonical_keys(self.token_sets, {})
         self._gj_cache = BoundedPairCache(gj_cache_entries)
         # Token ranks and the Jaro–Winkler token-pair cache; built on
         # first Generalized-Jaccard use, never here or in append().
-        self._token_table = TokenTable(vocabulary, gj_cache_entries)
+        self._token_table = TokenTable(self.vocabulary, gj_cache_entries)
         self._init_mutation_state(embedding_model=embedding_model)
 
     def _init_mutation_state(
@@ -333,39 +325,19 @@ class SimilarityEngine:
             tokens for engine in engines for tokens in engine.token_sets
         ]
         vocabulary: dict[str, int] = {}
-        rows: list[int] = []
-        cols: list[int] = []
-        for row, tokens in enumerate(token_sets):
-            for token in tokens:
-                cols.append(vocabulary.setdefault(token, len(vocabulary)))
-                rows.append(row)
-        matrix = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(titles), max(len(vocabulary), 1)),
-            dtype=np.float64,
-        )
-        canon: dict[frozenset, int] = {}
-        token_keys = np.array(
-            [
-                canon.setdefault(frozenset(tokens), len(canon))
-                for tokens in token_sets
-            ],
-            dtype=np.intp,
-        )
+        matrix, set_sizes = token_incidence(token_sets, vocabulary)
         return cls._from_parts(
             titles=titles,
             token_sets=token_sets,
             matrix=matrix,
-            set_sizes=np.concatenate(
-                [engine._set_sizes for engine in engines]
-            ),
+            set_sizes=set_sizes,
             embeddings=None,
             prefilter=(
                 min(engine.prefilter for engine in engines)
                 if prefilter is None
                 else prefilter
             ),
-            token_keys=token_keys,
+            token_keys=canonical_keys(token_sets, {}),
             gj_cache=BoundedPairCache(gj_cache_entries),
             vocabulary=vocabulary,
         )
@@ -442,10 +414,9 @@ class SimilarityEngine:
         :class:`BoundedPairCache` entries) with their existing rows.
         """
         if self._canon is None:
-            canon: dict[frozenset, int] = {}
-            for tokens, key in zip(self.token_sets, self._token_keys):
-                canon.setdefault(frozenset(tokens), int(key))
-            self._canon = canon
+            self._canon = dict(
+                zip(map(frozenset, self.token_sets), self._token_keys.tolist())
+            )
         return self._canon
 
     def _ensure_growable(self) -> None:
@@ -491,38 +462,16 @@ class SimilarityEngine:
         if not new_titles:
             return np.empty(0, dtype=np.intp)
         new_sets = [set(tokenize(title)) for title in new_titles]
-        canon = self._canonical_keys()
-        next_key = (max(canon.values()) + 1) if canon else 0
-        new_keys: list[int] = []
-        for tokens in new_sets:
-            frozen = frozenset(tokens)
-            key = canon.get(frozen)
-            if key is None:
-                key = next_key
-                canon[frozen] = key
-                next_key += 1
-            new_keys.append(key)
+        new_keys = canonical_keys(new_sets, self._canonical_keys())
         # Column ids for new tokens are assigned in lexicographic token
         # order, so the grown vocabulary is deterministic regardless of
         # set iteration order.
-        vocabulary = self.vocabulary
-        row_columns = [
-            np.array(
-                sorted(
-                    vocabulary.setdefault(token, len(vocabulary))
-                    for token in sorted(tokens)
-                ),
-                dtype=np.int64,
-            )
-            for tokens in new_sets
-        ]
+        block, sizes = token_incidence(
+            [sorted(tokens) for tokens in new_sets], self.vocabulary
+        )
         start = len(self.titles)
         self._ensure_growable()
-        self._growable.append_rows(
-            row_columns,
-            new_keys,
-            [float(len(tokens)) for tokens in new_sets],
-        )
+        self._growable.append_rows(block, new_keys, sizes)
         self.titles.extend(new_titles)
         self.token_sets.extend(new_sets)
         if self._embeddings is not None:
@@ -682,11 +631,6 @@ class SimilarityEngine:
             )
         return self._embeddings
 
-    def _intersections_batch(self, query_rows: np.ndarray) -> np.ndarray:
-        """Token-intersection counts of each query row with all titles."""
-        block = self._matrix[query_rows] @ self._matrix.T
-        return np.asarray(block.todense())
-
     def scores_batch(self, query_indices: Sequence[int], metric: str) -> np.ndarray:
         """``(len(queries), len(universe))`` similarity block for ``metric``.
 
@@ -702,31 +646,14 @@ class SimilarityEngine:
             embeddings = self._require_embeddings()
             raw = embeddings[queries] @ embeddings.T
             return np.clip(raw, 0.0, 1.0)
-        if metric not in ("cosine", "dice", "generalized_jaccard"):
-            raise ValueError(f"unknown metric: {metric!r}")
-
-        out = np.empty((queries.size, len(self)), dtype=np.float64)
-        sizes = self._set_sizes
-        for start in range(0, queries.size, _BATCH_ROWS):
-            chunk = queries[start : start + _BATCH_ROWS]
-            intersections = self._intersections_batch(chunk)
-            query_sizes = sizes[chunk][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if metric == "cosine":
-                    scores = intersections / np.sqrt(
-                        np.maximum(sizes[None, :] * query_sizes, 1e-12)
-                    )
-                elif metric == "dice":
-                    denominator = sizes[None, :] + query_sizes
-                    scores = 2.0 * intersections / np.maximum(denominator, 1e-12)
-                    # Reference semantics: two empty token sets are identical.
-                    scores = np.where(denominator == 0.0, 1.0, scores)
-                else:
-                    scores = self._generalized_jaccard_block(
-                        chunk, intersections, query_sizes
-                    )
-            out[start : start + _BATCH_ROWS] = np.nan_to_num(scores, nan=0.0)
-        return out
+        return self._query_scores(
+            self._matrix[queries],
+            self._set_sizes[queries],
+            metric,
+            lambda positions, candidates: self.generalized_jaccard_pairs(
+                queries[positions], candidates
+            ),
+        )
 
     def scores(self, query_index: int, metric: str) -> np.ndarray:
         """Similarity of one query title to every title in the universe."""
@@ -755,29 +682,74 @@ class SimilarityEngine:
             columns=(self._matrix.indptr, self._matrix.indices),
         )
 
-    def _generalized_jaccard_block(
+    def _query_scores(
         self,
-        query_rows: np.ndarray,
+        query_matrix: csr_matrix,
+        query_sizes: np.ndarray,
+        metric: str,
+        rescore: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Token-metric scores of query rows against the universe.
+
+        The one block scorer behind :meth:`scores_batch` and
+        :meth:`external_scores_batch`, which differ only in where query
+        rows come from: ``query_matrix`` holds them as incidence rows in
+        this engine's column space, ``query_sizes`` their set sizes, and
+        ``rescore(positions, rows)`` is the exact Generalized Jaccard of
+        aligned (query position, universe row) pairs.  Chunks of
+        ``_BATCH_ROWS`` queries keep the dense block bounded.
+        """
+        if metric not in _TOKEN_SCORED:
+            raise ValueError(f"unknown metric: {metric!r}")
+        n_queries = query_matrix.shape[0]
+        out = np.empty((n_queries, len(self)), dtype=np.float64)
+        sizes = self._set_sizes[None, :]
+        for start in range(0, n_queries, _BATCH_ROWS):
+            rows = slice(start, min(start + _BATCH_ROWS, n_queries))
+            intersections = np.asarray(
+                (query_matrix[rows] @ self._matrix.T).todense()
+            )
+            if metric == "generalized_jaccard":
+                out[rows] = self._prefiltered_gj(
+                    intersections,
+                    query_sizes[rows, None],
+                    lambda positions, candidates: rescore(
+                        positions + start, candidates
+                    ),
+                )
+            else:
+                out[rows] = token_metric(
+                    metric, intersections, query_sizes[rows, None], sizes
+                )
+        return out
+
+    def _prefiltered_gj(
+        self,
         intersections: np.ndarray,
         query_sizes: np.ndarray,
+        rescore: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> np.ndarray:
-        sizes = self._set_sizes
-        union = np.maximum(sizes[None, :] + query_sizes - intersections, 1e-12)
-        scores = intersections / union
-        cosine = intersections / np.sqrt(
-            np.maximum(sizes[None, :] * query_sizes, 1e-12)
-        )
+        """Generalized Jaccard of one query block against the universe.
+
+        Exact — ``rescore`` of aligned (query position, universe row)
+        pairs — on each query's top ``prefilter`` cosine candidates, plain
+        Jaccard (a lower bound) elsewhere.  Outside the prefilter two
+        empty sets score 0.0, as they always have, while exact GJ scores
+        them 1.0.  The rescored values do not depend on the partition
+        order, only on which candidates fall inside the prefilter.
+        """
+        sizes = self._set_sizes[None, :]
+        scores = token_metric("jaccard", intersections, query_sizes, sizes)
+        scores[(query_sizes == 0.0) & (sizes == 0.0)] = 0.0
+        cosine = token_metric("cosine", intersections, query_sizes, sizes)
         # Retired rows never occupy prefilter slots: a cold rebuild of
         # the live corpus has no such columns, and the delta-parity pin
         # requires both paths to rescore the same candidate set.
         if self._retired is not None:
-            cosine = np.where(self._retired[None, :], -np.inf, cosine)
+            cosine[:, self._retired] = -np.inf
         prefilter = min(self.prefilter, self.live_count)
         if prefilter <= 0:
             return scores
-        # Exact rescoring of each query's strongest candidates.  The
-        # rescored values do not depend on the partition order, only on
-        # which candidates fall inside the prefilter.
         if prefilter < cosine.shape[1]:
             top_block = np.argpartition(-cosine, prefilter - 1, axis=1)[:, :prefilter]
         else:
@@ -785,11 +757,9 @@ class SimilarityEngine:
                 np.arange(cosine.shape[1]), cosine.shape
             )
         n_queries, width = top_block.shape
+        positions = np.repeat(np.arange(n_queries), width)
         candidates = np.ascontiguousarray(top_block).ravel()
-        values = self.generalized_jaccard_pairs(
-            np.repeat(query_rows, width), candidates
-        )
-        scores[np.repeat(np.arange(n_queries), width), candidates] = values
+        scores[positions, candidates] = rescore(positions, candidates)
         return scores
 
     # ------------------------------------------------------------------ #
@@ -817,6 +787,31 @@ class SimilarityEngine:
             order = np.lexsort((valid, -sub))
             chosen = valid[order]
         return [int(i) for i in chosen]
+
+    def _top_k(
+        self,
+        n_queries: int,
+        score_block: Callable[[slice], np.ndarray],
+        k: int,
+    ) -> list[tuple[list[int], np.ndarray]]:
+        """Per-query ``(indices, scores)`` of the top ``k`` live rows.
+
+        The one selection loop behind :meth:`top_k_scores_batch` and
+        :meth:`external_top_k_batch`: ``score_block(rows)`` scores the
+        queries ``rows`` (a slice) against the universe with the caller's
+        own exclusions already at ``-inf``; retired rows are excluded
+        here.  Chunked so the dense score block stays bounded regardless
+        of the number of queries.
+        """
+        results: list[tuple[list[int], np.ndarray]] = []
+        for start in range(0, n_queries, _BATCH_ROWS):
+            block = score_block(slice(start, min(start + _BATCH_ROWS, n_queries)))
+            if self._retired is not None:
+                block[:, self._retired] = -np.inf
+            for scores in block:
+                chosen = self._select_top_k(scores, k)
+                results.append((chosen, scores[chosen]))
+        return results
 
     def top_k_batch(
         self,
@@ -862,48 +857,38 @@ class SimilarityEngine:
         aligned to ``indices`` — the entry point for consumers (candidate
         blocking) that need the ranked scores, not just the ranking.
         """
-        queries = list(query_indices)
+        queries = np.asarray(list(query_indices), dtype=np.intp)
         mask = None
         if exclude is not None:
             mask = np.asarray(exclude, dtype=bool)
             if mask.ndim == 1:
-                mask = np.broadcast_to(mask, (len(queries), len(self)))
+                mask = np.broadcast_to(mask, (queries.size, len(self)))
         query_groups = universe_groups = None
         if exclude_groups is not None:
             query_groups = np.asarray(exclude_groups[0]).ravel()
             universe_groups = np.asarray(exclude_groups[1]).ravel()
-            if query_groups.size != len(queries):
+            if query_groups.size != queries.size:
                 raise ValueError(
                     f"exclude_groups has {query_groups.size} query groups, "
-                    f"got {len(queries)} queries"
+                    f"got {queries.size} queries"
                 )
             if universe_groups.size != len(self):
                 raise ValueError(
                     f"exclude_groups covers {universe_groups.size} universe "
                     f"rows, engine has {len(self)}"
                 )
-        results: list[tuple[list[int], np.ndarray]] = []
-        # Chunked so the dense score block stays bounded regardless of the
-        # number of queries.
-        for start in range(0, len(queries), _BATCH_ROWS):
-            chunk = queries[start : start + _BATCH_ROWS]
-            block = self.scores_batch(chunk, metric)
-            if self._retired is not None:
-                block[:, self._retired] = -np.inf
+
+        def score_block(rows: slice) -> np.ndarray:
+            block = self.scores_batch(queries[rows], metric)
+            # Each query excludes itself.
+            block[np.arange(block.shape[0]), queries[rows]] = -np.inf
+            if mask is not None:
+                block[mask[rows]] = -np.inf
             if universe_groups is not None:
-                group_mask = (
-                    query_groups[start : start + _BATCH_ROWS, None]
-                    == universe_groups[None, :]
-                )
-                block[group_mask] = -np.inf
-            for row, query in enumerate(chunk):
-                scores = block[row]
-                scores[int(query)] = -np.inf
-                if mask is not None:
-                    scores[mask[start + row]] = -np.inf
-                chosen = self._select_top_k(scores, k)
-                results.append((chosen, scores[chosen]))
-        return results
+                block[query_groups[rows, None] == universe_groups[None, :]] = -np.inf
+            return block
+
+        return self._top_k(queries.size, score_block, k)
 
     def top_k(
         self,
@@ -919,34 +904,6 @@ class SimilarityEngine:
     # ------------------------------------------------------------------ #
     # External queries: token sets outside the universe
     # ------------------------------------------------------------------ #
-    def _external_matrix(
-        self, token_sets: Sequence[set[str]]
-    ) -> tuple[csr_matrix, np.ndarray]:
-        """Query rows in this engine's column space plus full set sizes.
-
-        Out-of-vocabulary query tokens intersect no corpus row but still
-        count toward the query's set size, so external scores equal what
-        ``append()`` → score → ``retire()`` would produce — the identity
-        the serving layer's parity pin rests on.
-        """
-        vocabulary = self.vocabulary
-        rows: list[int] = []
-        cols: list[int] = []
-        sizes = np.empty(len(token_sets), dtype=np.float64)
-        for row, tokens in enumerate(token_sets):
-            sizes[row] = len(tokens)
-            for token in tokens:
-                col = vocabulary.get(token)
-                if col is not None:
-                    rows.append(row)
-                    cols.append(col)
-        matrix = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(token_sets), self._matrix.shape[1]),
-            dtype=np.float64,
-        )
-        return matrix, sizes
-
     def external_scores_batch(
         self, token_sets: Sequence[set[str]], metric: str
     ) -> np.ndarray:
@@ -967,69 +924,26 @@ class SimilarityEngine:
                 "external queries serve token metrics only (no external "
                 "title has a vector in the corpus-fitted LSA space)"
             )
-        if metric not in ("cosine", "dice", "generalized_jaccard"):
-            raise ValueError(f"unknown metric: {metric!r}")
-        query_matrix, all_sizes = self._external_matrix(queries)
-        out = np.empty((len(queries), len(self)), dtype=np.float64)
-        sizes = self._set_sizes
-        for start in range(0, len(queries), _BATCH_ROWS):
-            chunk = query_matrix[start : start + _BATCH_ROWS]
-            intersections = np.asarray((chunk @ self._matrix.T).todense())
-            query_sizes = all_sizes[start : start + _BATCH_ROWS][:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if metric == "cosine":
-                    scores = intersections / np.sqrt(
-                        np.maximum(sizes[None, :] * query_sizes, 1e-12)
-                    )
-                elif metric == "dice":
-                    denominator = sizes[None, :] + query_sizes
-                    scores = 2.0 * intersections / np.maximum(denominator, 1e-12)
-                    # Reference semantics: two empty token sets are identical.
-                    scores = np.where(denominator == 0.0, 1.0, scores)
-                else:
-                    scores = self._external_generalized_jaccard_block(
-                        queries[start : start + _BATCH_ROWS],
-                        intersections,
-                        query_sizes,
-                    )
-            out[start : start + _BATCH_ROWS] = np.nan_to_num(scores, nan=0.0)
-        return out
-
-    def _external_generalized_jaccard_block(
-        self,
-        chunk_sets: Sequence[set[str]],
-        intersections: np.ndarray,
-        query_sizes: np.ndarray,
-    ) -> np.ndarray:
-        sizes = self._set_sizes
-        union = np.maximum(sizes[None, :] + query_sizes - intersections, 1e-12)
-        scores = intersections / union
-        cosine = intersections / np.sqrt(
-            np.maximum(sizes[None, :] * query_sizes, 1e-12)
+        # Out-of-vocabulary query tokens intersect no corpus row but still
+        # count toward the query's set size, so external scores equal
+        # what append() -> score -> retire() would produce: the identity
+        # the serving layer's parity pin rests on.
+        query_matrix, query_sizes = token_incidence(
+            queries, self.vocabulary, grow=False, width=self._matrix.shape[1]
         )
-        if self._retired is not None:
-            cosine = np.where(self._retired[None, :], -np.inf, cosine)
-        prefilter = min(self.prefilter, self.live_count)
-        if prefilter <= 0:
-            return scores
-        if prefilter < cosine.shape[1]:
-            top_block = np.argpartition(-cosine, prefilter - 1, axis=1)[:, :prefilter]
-        else:
-            top_block = np.broadcast_to(
-                np.arange(cosine.shape[1]), cosine.shape
-            )
-        n_queries, width = top_block.shape
-        candidates = np.ascontiguousarray(top_block).ravel()
         corpus_sets = self.token_sets
         # Uncached exact rescoring: external queries have no canonical
         # key (assigning one would mutate shared cache state from the
         # read path), and the values are exact either way.
-        values = generalized_jaccard_batch(
-            [chunk_sets[int(q)] for q in np.repeat(np.arange(n_queries), width)],
-            [corpus_sets[int(row)] for row in candidates],
+        return self._query_scores(
+            query_matrix,
+            query_sizes,
+            metric,
+            lambda positions, candidates: generalized_jaccard_batch(
+                [queries[q] for q in positions.tolist()],
+                [corpus_sets[row] for row in candidates.tolist()],
+            ),
         )
-        scores[np.repeat(np.arange(n_queries), width), candidates] = values
-        return scores
 
     def external_top_k_batch(
         self, token_sets: Sequence[set[str]], metric: str, *, k: int
@@ -1042,16 +956,11 @@ class SimilarityEngine:
         rows are excluded.
         """
         queries = [set(tokens) for tokens in token_sets]
-        results: list[tuple[list[int], np.ndarray]] = []
-        for start in range(0, len(queries), _BATCH_ROWS):
-            chunk = queries[start : start + _BATCH_ROWS]
-            block = self.external_scores_batch(chunk, metric)
-            if self._retired is not None:
-                block[:, self._retired] = -np.inf
-            for row in range(len(chunk)):
-                chosen = self._select_top_k(block[row], k)
-                results.append((chosen, block[row][chosen]))
-        return results
+        return self._top_k(
+            len(queries),
+            lambda rows: self.external_scores_batch(queries[rows], metric),
+            k,
+        )
 
     # ------------------------------------------------------------------ #
     # Exact subset scoring (selection and splitting)
@@ -1074,22 +983,17 @@ class SimilarityEngine:
             return self.generalized_jaccard_pairs(
                 np.full(candidates.size, query_index, dtype=np.intp), candidates
             )
-        query_row = self._matrix[query_index]
+        if metric not in _TOKEN_SCORED:
+            raise ValueError(f"unknown metric: {metric!r}")
         intersections = np.asarray(
-            (self._matrix[candidates] @ query_row.T).todense()
+            (self._matrix[candidates] @ self._matrix[query_index].T).todense()
         ).ravel()
-        sizes = self._set_sizes[candidates]
-        query_size = self._set_sizes[query_index]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if metric == "cosine":
-                scores = intersections / np.sqrt(np.maximum(sizes * query_size, 1e-12))
-            elif metric == "dice":
-                scores = 2.0 * intersections / np.maximum(sizes + query_size, 1e-12)
-                # Reference semantics: two empty token sets are identical.
-                scores = np.where((sizes + query_size) == 0.0, 1.0, scores)
-            else:
-                raise ValueError(f"unknown metric: {metric!r}")
-        return np.nan_to_num(scores, nan=0.0)
+        return token_metric(
+            metric,
+            intersections,
+            self._set_sizes[candidates],
+            self._set_sizes[query_index],
+        )
 
     def rank(
         self, query_index: int, candidate_indices: Sequence[int], metric: str
@@ -1130,20 +1034,15 @@ class SimilarityEngine:
                 )
                 matrix[upper_i, upper_j] = scores
                 matrix[upper_j, upper_i] = scores
-        elif metric in ("cosine", "dice"):
+        elif metric in _TOKEN_SCORED:
             block = self._matrix[rows]
-            intersections = np.asarray((block @ block.T).todense())
             sizes = self._set_sizes[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if metric == "cosine":
-                    matrix = intersections / np.sqrt(
-                        np.maximum(np.outer(sizes, sizes), 1e-12)
-                    )
-                else:
-                    denominator = sizes[:, None] + sizes[None, :]
-                    matrix = 2.0 * intersections / np.maximum(denominator, 1e-12)
-                    matrix = np.where(denominator == 0.0, 1.0, matrix)
-            matrix = np.nan_to_num(matrix, nan=0.0)
+            matrix = token_metric(
+                metric,
+                np.asarray((block @ block.T).todense()),
+                sizes[:, None],
+                sizes[None, :],
+            )
         else:
             raise ValueError(f"unknown metric: {metric!r}")
         np.fill_diagonal(matrix, 1.0)

@@ -6,6 +6,12 @@ pair, a handful of arithmetic operations.  This module provides the
 corpus-level counterpart of :class:`~repro.similarity.engine.SimilarityEngine`
 for *pair-shaped* workloads:
 
+* :func:`token_incidence`, :func:`canonical_keys` and
+  :func:`token_metric` — the scoring core every engine path shares: the
+  one builder of binary token-incidence matrices, the one canonical
+  token-set id assignment, and the one broadcasting formula for the
+  Jaccard, cosine, Dice and overlap metrics with the scalar empty-set
+  rules.
 * :class:`AttributeView` — a sparse token-incidence view over one textual
   attribute (title, description, brand, a serialized offer, …).  All
   token-set metrics of N explicit pairs (Jaccard, cosine, Dice, overlap)
@@ -54,9 +60,12 @@ __all__ = [
     "BoundedPairCache",
     "TOKEN_METRICS",
     "TokenTable",
+    "canonical_keys",
     "generalized_jaccard_batch",
     "levenshtein_similarity_batch",
     "jaro_winkler_similarity_batch",
+    "token_incidence",
+    "token_metric",
 ]
 
 TOKEN_METRICS = ("jaccard", "cosine", "dice", "overlap")
@@ -64,6 +73,89 @@ TOKEN_METRICS = ("jaccard", "cosine", "dice", "overlap")
 _PAIR_CHUNK = 8192  # rows per sparse pair-product block
 _CHAR_CHUNK = 2048  # strings per char-kernel DP block
 _GREEDY_CELL_BUDGET = 1 << 23  # dense cells per greedy-matching block (~64 MB)
+
+
+# --------------------------------------------------------------------- #
+# Token incidence and token-set metrics
+# --------------------------------------------------------------------- #
+def token_incidence(
+    token_sets: Sequence[Collection[str]],
+    vocabulary: dict[str, int],
+    *,
+    grow: bool = True,
+    width: int | None = None,
+) -> tuple[csr_matrix, np.ndarray]:
+    """Binary ``(len(token_sets), width)`` token incidence plus set sizes.
+
+    Columns are ``vocabulary`` ids.  With ``grow`` an unseen token gets
+    the next id in first-seen order (``vocabulary`` is extended in
+    place); without it the token is left out of the matrix but still
+    counts toward its row's set size, as an out-of-vocabulary query
+    token should.  ``width`` defaults to the vocabulary size (at least 1).
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    for row, tokens in enumerate(token_sets):
+        for token in tokens:
+            col = vocabulary.get(token)
+            if col is None:
+                if not grow:
+                    continue
+                col = vocabulary[token] = len(vocabulary)
+            rows.append(row)
+            cols.append(col)
+    matrix = csr_matrix(
+        (np.ones(len(rows)), (rows, cols)),
+        shape=(len(token_sets), max(len(vocabulary), 1) if width is None else width),
+        dtype=np.float64,
+    )
+    sizes = np.array([len(tokens) for tokens in token_sets], dtype=np.float64)
+    return matrix, sizes
+
+
+def canonical_keys(
+    token_sets: Iterable[Collection[str]], canon: dict[frozenset, int]
+) -> np.ndarray:
+    """One id per token set: equal sets share an id across calls.
+
+    ``canon`` maps each known ``frozenset`` to its id and is extended in
+    place; a new set takes the next id after the largest known one.
+    """
+    next_key = max(canon.values(), default=-1) + 1
+    keys: list[int] = []
+    for tokens in token_sets:
+        frozen = frozenset(tokens)
+        key = canon.get(frozen)
+        if key is None:
+            key = canon[frozen] = next_key
+            next_key += 1
+        keys.append(key)
+    return np.array(keys, dtype=np.intp)
+
+
+def token_metric(
+    metric: str, inter: np.ndarray, sizes_a: np.ndarray, sizes_b: np.ndarray
+) -> np.ndarray:
+    """One token-set metric from intersection counts and set sizes.
+
+    Arguments broadcast, so the same formula scores aligned pairs, one
+    query against candidates, or a whole query block against a universe.
+    Set sizes are whole numbers, so clamping a denominator at 1 changes
+    nothing but the empty cases, which follow the scalar metrics: Jaccard
+    and Dice of two empty sets are 1.0, cosine and overlap with an empty
+    side are 0.0 (the intersection is 0 there).
+    """
+    if metric == "cosine":
+        return inter / np.sqrt(np.maximum(sizes_a * sizes_b, 1.0))
+    if metric == "dice":
+        total = sizes_a + sizes_b
+        return np.where(total == 0.0, 1.0, 2.0 * inter / np.maximum(total, 1.0))
+    if metric == "jaccard":
+        union = sizes_a + sizes_b - inter
+        return np.where(union == 0.0, 1.0, inter / np.maximum(union, 1.0))
+    if metric == "overlap":
+        return inter / np.maximum(np.minimum(sizes_a, sizes_b), 1.0)
+    raise ValueError(f"unknown token metric: {metric!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -80,34 +172,22 @@ class AttributeView:
     """
 
     def __init__(self, texts: Sequence[str | None]) -> None:
-        self.texts: list[str] = ["" if text is None else text for text in texts]
-        self.present = np.array([bool(text) for text in self.texts], dtype=bool)
-        token_sets = [set(tokenize(text)) for text in self.texts]
+        texts = ["" if text is None else text for text in texts]
+        token_sets = [set(tokenize(text)) for text in texts]
         vocabulary: dict[str, int] = {}
-        rows: list[int] = []
-        cols: list[int] = []
-        for row, tokens in enumerate(token_sets):
-            for token in tokens:
-                cols.append(vocabulary.setdefault(token, len(vocabulary)))
-                rows.append(row)
-        self._init_parts(
-            token_sets,
-            list(vocabulary),
-            csr_matrix(
-                (np.ones(len(rows)), (rows, cols)),
-                shape=(len(self.texts), max(len(vocabulary), 1)),
-                dtype=np.float64,
-            ),
-            np.array([len(tokens) for tokens in token_sets], dtype=np.float64),
-        )
+        matrix, set_sizes = token_incidence(token_sets, vocabulary)
+        self._init_parts(texts, token_sets, list(vocabulary), matrix, set_sizes)
 
     def _init_parts(
         self,
+        texts: list[str],
         token_sets: list[set[str]],
         vocabulary: list[str],
         matrix: csr_matrix,
         set_sizes: np.ndarray,
     ) -> None:
+        self.texts = texts
+        self.present = np.array([bool(text) for text in texts], dtype=bool)
         self.token_sets = token_sets
         self._vocabulary = vocabulary
         self._matrix = matrix
@@ -115,45 +195,31 @@ class AttributeView:
         self._hashed: dict[tuple[int, int], csr_matrix] = {}
 
     @classmethod
-    def _from_parts(
-        cls,
-        texts: list[str],
-        present: np.ndarray,
-        token_sets: list[set[str]],
-        vocabulary: list[str],
-        matrix: csr_matrix,
-        set_sizes: np.ndarray,
-    ) -> "AttributeView":
+    def _from_parts(cls, *parts) -> "AttributeView":
         view = cls.__new__(cls)
-        view.texts = texts
-        view.present = present
-        view._init_parts(token_sets, vocabulary, matrix, set_sizes)
+        view._init_parts(*parts)
         return view
 
     @classmethod
     def over_engine_titles(cls, engine) -> "AttributeView":
         """A view sharing a :class:`SimilarityEngine`'s title precomputation."""
-        view = cls.__new__(cls)
-        view.texts = list(engine.titles)
-        view.present = np.array([bool(text) for text in view.texts], dtype=bool)
-        view._init_parts(
+        return cls._from_parts(
+            list(engine.titles),
             engine.token_sets,
             list(engine.vocabulary),  # insertion order == column order
             engine._matrix,
             engine._set_sizes,
         )
-        return view
 
     def slice(self, rows: np.ndarray) -> "AttributeView":
         """A sub-view over ``rows`` sharing this view's tokenization."""
         rows = np.asarray(rows, dtype=np.intp)
         return AttributeView._from_parts(
-            texts=[self.texts[int(i)] for i in rows],
-            present=self.present[rows],
-            token_sets=[self.token_sets[int(i)] for i in rows],
-            vocabulary=self._vocabulary,
-            matrix=self._matrix[rows],
-            set_sizes=self._set_sizes[rows],
+            [self.texts[int(i)] for i in rows],
+            [self.token_sets[int(i)] for i in rows],
+            self._vocabulary,
+            self._matrix[rows],
+            self._set_sizes[rows],
         )
 
     def __len__(self) -> int:
@@ -168,10 +234,8 @@ class AttributeView:
         """``(len(pairs), len(metrics))`` token-set scores for explicit pairs.
 
         Intersection counts come from chunked sparse row products; every
-        metric then reduces to elementwise arithmetic on the counts and the
-        per-row set sizes.  Empty-set semantics match the scalar metrics:
-        Jaccard/Dice of two empty sets is 1.0, cosine/overlap with any
-        empty side is 0.0.
+        metric then reduces to :func:`token_metric` on the counts and the
+        per-row set sizes, with the scalar metrics' empty-set semantics.
         """
         unknown = set(metrics) - set(TOKEN_METRICS)
         if unknown:
@@ -190,34 +254,10 @@ class AttributeView:
             inter = np.asarray(left.multiply(right).sum(axis=1)).ravel()
             sizes_a = self._set_sizes[chunk_a]
             sizes_b = self._set_sizes[chunk_b]
-            both_empty = (sizes_a == 0.0) & (sizes_b == 0.0)
-            any_empty = (sizes_a == 0.0) | (sizes_b == 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for col, metric in enumerate(metrics):
-                    if metric == "jaccard":
-                        union = sizes_a + sizes_b - inter
-                        scores = np.where(
-                            both_empty, 1.0, inter / np.maximum(union, 1.0)
-                        )
-                    elif metric == "cosine":
-                        scores = np.where(
-                            any_empty,
-                            0.0,
-                            inter / np.sqrt(np.maximum(sizes_a * sizes_b, 1.0)),
-                        )
-                    elif metric == "dice":
-                        scores = np.where(
-                            both_empty,
-                            1.0,
-                            2.0 * inter / np.maximum(sizes_a + sizes_b, 1.0),
-                        )
-                    else:  # overlap
-                        scores = np.where(
-                            any_empty,
-                            0.0,
-                            inter / np.maximum(np.minimum(sizes_a, sizes_b), 1.0),
-                        )
-                    out[start : start + _PAIR_CHUNK, col] = scores
+            for col, metric in enumerate(metrics):
+                out[start : start + _PAIR_CHUNK, col] = token_metric(
+                    metric, inter, sizes_a, sizes_b
+                )
         return out
 
     def hashed_incidence(self, vectorizer) -> csr_matrix:
@@ -687,8 +727,7 @@ def generalized_jaccard_batch(
     if table is None:
         sets = [_as_token_set(value) for value in (*lefts, *rights)]
         if keys is None:
-            canon: dict[frozenset, int] = {}
-            ids = [canon.setdefault(frozenset(s), len(canon)) for s in sets]
+            ids = canonical_keys(sets, {})
             keys = (ids[:n], ids[n:])
         vocabulary: dict[str, int] = {}
         indices = np.fromiter(

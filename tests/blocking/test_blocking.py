@@ -68,17 +68,11 @@ class TestCandidateBlocker:
     def test_include_group_positives_completes_clusters(self, tiny_blocker):
         # k=1 under cosine alone misses the dissimilar pair inside cluster
         # "c"; group completion must append it with "group" provenance.
-        blocked = tiny_blocker.candidates(k=1, include_group_positives=True)
+        blocked = tiny_blocker.candidates(k=1).with_group_positives()
         by_rows = {(pair.row_a, pair.row_b): pair for pair in blocked}
         assert (4, 5) in by_rows
         assert by_rows[(4, 5)].metric == "group"
         assert by_rows[(4, 5)].rank == -1
-
-    def test_group_options_are_exclusive(self, tiny_blocker):
-        with pytest.raises(ValueError):
-            tiny_blocker.candidates(
-                k=1, exclude_same_group=True, include_group_positives=True
-            )
 
     def test_to_dataset_labels_from_cluster_identity(self, tiny_blocker):
         dataset = tiny_blocker.candidates(k=3).to_dataset("blocked")
@@ -116,7 +110,7 @@ class TestCandidateBlocker:
         blocker = CandidateBlocker(
             engine, offers=offers, group_labels=[o.cluster_id for o in offers]
         )
-        blocked = blocker.candidates(k=3, include_group_positives=True)
+        blocked = blocker.candidates(k=3).with_group_positives()
         dataset = blocked.to_dataset("dup")
         assert all(p.offer_a.offer_id != p.offer_b.offer_id for p in dataset)
         keys = [p.key() for p in dataset]
@@ -183,10 +177,8 @@ class TestBlockingRecall:
 
     def test_recall_at_25(self, split_blocker, reference):
         blocked = split_blocker.candidates(
-            k=25,
-            metrics=split_blocker.engine.metric_names,
-            include_group_positives=True,
-        )
+            k=25, metrics=split_blocker.engine.metric_names
+        ).with_group_positives()
         report = blocking_recall(blocked, reference)
         assert report.positive_recall == 1.0
         assert report.corner_negative_recall >= 0.95

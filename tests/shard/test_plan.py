@@ -222,15 +222,6 @@ class TestPartitionExclusion:
             group_labels=[offer.cluster_id for offer in offers],
         )
 
-    def test_partition_with_group_positives_rejected(self):
-        blocker = self._blocker()
-        with pytest.raises(ValueError, match="include_group_positives"):
-            blocker.candidates(
-                k=2,
-                exclude_same_partition=[0, 0, 1, 1],
-                include_group_positives=True,
-            )
-
     def test_partition_with_same_group_exclusion_rejected(self):
         blocker = self._blocker()
         with pytest.raises(ValueError, match="exclude_same_group"):
