@@ -13,6 +13,12 @@ excluded by integer group id, compared chunk by chunk instead of through
 the dense ``(queries, universe)`` boolean mask the pair generator used to
 build.
 
+Candidates stay numpy columns from the engine's
+:class:`~repro.similarity.engine.TopK` selection through the first-win
+dedup (one ``np.unique`` over int64 offer-identity keys) to the store
+and the merged-candidate writer; :class:`BlockedPair` is only the
+per-pair view that iteration yields.
+
 Blocked candidates label themselves from cluster identity, so
 ``BlockedPairSet.to_dataset`` produces a normal
 :class:`~repro.core.datasets.PairDataset` any pair-wise matcher can train
@@ -23,7 +29,7 @@ and evaluate on — see
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -36,7 +42,7 @@ __all__ = ["BlockedPair", "BlockedPairSet", "CandidateBlocker"]
 
 @dataclass(frozen=True)
 class BlockedPair:
-    """One candidate pair surfaced by blocking.
+    """One candidate pair surfaced by blocking (the iteration view).
 
     ``query_row``/``rank`` record provenance: the pair first appeared as
     the ``rank``-th candidate (0-based) of ``query_row``'s top-k list
@@ -52,29 +58,89 @@ class BlockedPair:
     rank: int
 
 
-class BlockedPairSet:
-    """The deduplicated candidate pairs of one blocking sweep."""
+def _concat(parts: Sequence[np.ndarray], dtype=np.intp) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype=dtype), *parts])
 
-    def __init__(
-        self,
-        blocker: "CandidateBlocker",
-        pairs: list[BlockedPair],
-        *,
-        k: int,
-        metrics: tuple[str, ...],
-        n_queries: int,
-    ) -> None:
-        self.blocker = blocker
-        self.pairs = pairs
-        self.k = k
-        self.metrics = metrics
-        self.n_queries = n_queries
+
+def _first_wins(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of each key's first occurrence.
+
+    The first-win dedup: a key surfaces once, where it first appears;
+    negative keys (an offer paired with itself) never surface.
+    """
+    valid = np.flatnonzero(keys >= 0)
+    _, first = np.unique(keys[valid], return_index=True)
+    return valid[np.sort(first)]
+
+
+@dataclass(eq=False, repr=False)
+class BlockedPairSet:
+    """The deduplicated candidate pairs of one blocking sweep, as columns.
+
+    Pair ``i`` is ``(row_a[i], row_b[i])`` with ``score[i]``, surfaced as
+    the ``rank[i]``-th candidate of ``query_row[i]`` under metric
+    ``metric_names[metric_id[i]]``.  ``metric_names`` defaults to
+    ``metrics`` (the metrics the join ran); it is longer when pairs carry
+    another label, such as the completed ``"group"`` positives.  Columns
+    may be given as any integer / float sequences.  Iterating yields
+    :class:`BlockedPair` views in surfacing order; ``dataclasses.replace``
+    rebinds the same columns to another blocker over the same rows.
+    """
+
+    blocker: "CandidateBlocker"
+    _: KW_ONLY
+    row_a: np.ndarray
+    row_b: np.ndarray
+    score: np.ndarray
+    metric_id: np.ndarray
+    query_row: np.ndarray
+    rank: np.ndarray
+    k: int
+    metrics: tuple[str, ...]
+    n_queries: int
+    metric_names: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        for column in ("row_a", "row_b", "metric_id", "query_row", "rank"):
+            values = np.asarray(getattr(self, column), dtype=np.intp)
+            setattr(self, column, values.reshape(-1))
+        self.score = np.asarray(self.score, dtype=np.float64).reshape(-1)
+        if self.metric_names is None:
+            self.metric_names = self.metrics
+        self.metric_names = tuple(self.metric_names)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.row_a.size
 
     def __iter__(self) -> Iterator[BlockedPair]:
-        return iter(self.pairs)
+        names = self.metric_names
+        for row_a, row_b, score, metric, query_row, rank in zip(
+            self.row_a.tolist(),
+            self.row_b.tolist(),
+            self.score.tolist(),
+            self.metric_id.tolist(),
+            self.query_row.tolist(),
+            self.rank.tolist(),
+        ):
+            yield BlockedPair(
+                row_a, row_b, score, names[metric], query_row, rank
+            )
+
+    @property
+    def pairs(self) -> list[BlockedPair]:
+        """Every pair as a :class:`BlockedPair`, materialized."""
+        return list(self)
+
+    def metric_labels(self) -> np.ndarray:
+        """Each pair's metric name, as an object array."""
+        return np.array(self.metric_names, dtype=object)[self.metric_id]
+
+    def labels(self) -> np.ndarray:
+        """Each pair's cluster-identity label (1 = same cluster)."""
+        group_ids = self.blocker._group_ids
+        if group_ids is None:
+            raise ValueError("labels need a blocker built with group labels")
+        return (group_ids[self.row_a] == group_ids[self.row_b]).astype(np.intp)
 
     def pair_keys(self) -> set[tuple[str, str]]:
         """Unordered offer-id keys, comparable to ``LabeledPair.key()``."""
@@ -82,8 +148,8 @@ class BlockedPairSet:
         if ids is None:
             raise ValueError("blocker was built without offers")
         keys: set[tuple[str, str]] = set()
-        for pair in self.pairs:
-            a, b = ids[pair.row_a], ids[pair.row_b]
+        for row_a, row_b in zip(self.row_a.tolist(), self.row_b.tolist()):
+            a, b = ids[row_a], ids[row_b]
             keys.add((a, b) if a <= b else (b, a))
         return keys
 
@@ -95,8 +161,7 @@ class BlockedPairSet:
         blocked pairs from materialized ones.
         """
         offers = self.blocker.offers
-        labels = self.blocker.group_labels
-        if offers is None or labels is None:
+        if offers is None or self.blocker.group_labels is None:
             raise ValueError(
                 "to_dataset needs a blocker built with offers and group labels"
             )
@@ -104,28 +169,30 @@ class BlockedPairSet:
         dataset.pairs = [
             LabeledPair(
                 pair_id=f"{name}-{position:06d}",
-                offer_a=offers[pair.row_a],
-                offer_b=offers[pair.row_b],
-                label=int(labels[pair.row_a] == labels[pair.row_b]),
-                provenance=f"blocking:{pair.metric}",
+                offer_a=offers[row_a],
+                offer_b=offers[row_b],
+                label=label,
+                provenance=f"blocking:{metric}",
             )
-            for position, pair in enumerate(self.pairs)
+            for position, (row_a, row_b, label, metric) in enumerate(
+                zip(
+                    self.row_a.tolist(),
+                    self.row_b.tolist(),
+                    self.labels().tolist(),
+                    self.metric_labels().tolist(),
+                )
+            )
         ]
         return dataset
 
     def summary(self) -> dict[str, int]:
-        labels = self.blocker.group_labels
         positives = 0
-        if labels is not None:
-            positives = sum(
-                1
-                for pair in self.pairs
-                if labels[pair.row_a] == labels[pair.row_b]
-            )
+        if self.blocker.group_labels is not None:
+            positives = int(self.labels().sum())
         return {
-            "all": len(self.pairs),
+            "all": len(self),
             "pos": positives,
-            "neg": len(self.pairs) - positives,
+            "neg": len(self) - positives,
         }
 
     def with_group_positives(self) -> "BlockedPairSet":
@@ -138,51 +205,48 @@ class BlockedPairSet:
         training-shaped completed set without running the top-k sweep
         twice.  Returns a new set; pairs keep their order with the
         completed positives appended (metric ``"group"``, rank ``-1``,
-        cosine score).
+        cosine score) in group order, then row order.
         """
         blocker = self.blocker
         group_ids = blocker._group_ids
         if group_ids is None:
             raise ValueError("with_group_positives needs group labels")
-        seen = {
-            key
-            for pair in self.pairs
-            if (key := blocker._pair_key(pair.row_a, pair.row_b)) is not None
-        }
-        pairs = list(self.pairs)
-        members_by_group: dict[int, list[int]] = {}
-        for row, group in enumerate(group_ids):
-            members_by_group.setdefault(int(group), []).append(row)
-        missing: list[tuple[int, int]] = []
-        for group in sorted(members_by_group):
-            members = members_by_group[group]
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    key = blocker._pair_key(a, b)
-                    if key is not None and key not in seen:
-                        seen.add(key)
-                        missing.append((a, b))
-        if missing:
-            scores = blocker.engine.pair_features_batch(
-                missing, metrics=("cosine",)
-            )[:, 0]
-            pairs.extend(
-                BlockedPair(
-                    row_a=a,
-                    row_b=b,
-                    score=float(score),
-                    metric="group",
-                    query_row=a,
-                    rank=-1,
-                )
-                for (a, b), score in zip(missing, scores)
-            )
+        # Every within-group row pair (a, b), a < b: rows sorted by
+        # (group, row), each paired with the rest of its group after it.
+        order = np.argsort(group_ids, kind="stable").astype(np.intp)
+        grouped = group_ids[order]
+        group_end = np.searchsorted(grouped, grouped, side="right")
+        position = np.arange(order.size)
+        partners = group_end - position - 1
+        first = np.repeat(position, partners)
+        offset = np.arange(first.size) - np.repeat(
+            np.cumsum(partners) - partners, partners
+        )
+        rows_a, rows_b = order[first], order[first + 1 + offset]
+        keys = blocker._pair_keys(rows_a, rows_b)
+        keys[np.isin(keys, blocker._pair_keys(self.row_a, self.row_b))] = -1
+        missing = _first_wins(keys)
+        rows_a, rows_b = rows_a[missing], rows_b[missing]
+        scores = blocker.engine.attribute_view().pair_metrics(
+            rows_a, rows_b, ("cosine",)
+        )[:, 0]
+        names = self.metric_names
+        if "group" not in names:
+            names = (*names, "group")
         return BlockedPairSet(
             blocker,
-            pairs,
+            row_a=np.concatenate([self.row_a, rows_a]),
+            row_b=np.concatenate([self.row_b, rows_b]),
+            score=np.concatenate([self.score, scores]),
+            metric_id=np.concatenate(
+                [self.metric_id, np.full(rows_a.size, names.index("group"))]
+            ),
+            query_row=np.concatenate([self.query_row, rows_a]),
+            rank=np.concatenate([self.rank, np.full(rows_a.size, -1)]),
             k=self.k,
             metrics=self.metrics,
             n_queries=self.n_queries,
+            metric_names=names,
         )
 
 
@@ -274,20 +338,19 @@ class CandidateBlocker:
     def __len__(self) -> int:
         return len(self.engine)
 
-    def _pair_key(self, a: int, b: int) -> int | None:
-        """Unordered offer-identity dedup key of rows ``a``/``b``.
+    def _pair_keys(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """Unordered offer-identity dedup keys of aligned row pairs.
 
-        ``None`` when both rows carry the same offer (never a pair).
+        ``-1`` where both rows carry the same offer (never a pair).
         """
-        row_keys = self._pair_keys_by_row
-        key_a, key_b = int(row_keys[a]), int(row_keys[b])
-        if key_a == key_b:  # the same offer on both rows
-            return None
-        return (
-            key_a * self._key_span + key_b
-            if key_a < key_b
-            else key_b * self._key_span + key_a
+        key_a = self._pair_keys_by_row[rows_a].astype(np.int64)
+        key_b = self._pair_keys_by_row[rows_b].astype(np.int64)
+        keys = (
+            np.minimum(key_a, key_b) * self._key_span
+            + np.maximum(key_a, key_b)
         )
+        keys[key_a == key_b] = -1
+        return keys
 
     def candidates(
         self,
@@ -347,48 +410,37 @@ class CandidateBlocker:
                     f"engine has {len(self.engine)}"
                 )
 
-        seen: set[int] = set()
-        pair_key = self._pair_key
-
         exclude_groups = None
         if exclude_same_group:
             exclude_groups = (group_ids[queries], group_ids)
         elif partition is not None:
             exclude_groups = (partition[queries], partition)
 
-        pairs: list[BlockedPair] = []
-        for metric in metrics:
-            batches = self.engine.top_k_scores_batch(
-                queries,
-                metric,
-                k=k,
-                exclude_groups=exclude_groups,
+        # Every metric's top-k as columns, in surfacing order: metric,
+        # then query, then rank.
+        tops = [
+            self.engine.top_k_scores_batch(
+                queries, metric, k=k, exclude_groups=exclude_groups
             )
-            for query, (chosen, scores) in zip(queries, batches):
-                query = int(query)
-                for rank, (candidate, score) in enumerate(zip(chosen, scores)):
-                    key = pair_key(query, candidate)
-                    if key is None or key in seen:
-                        continue
-                    seen.add(key)
-                    a, b = (
-                        (query, candidate)
-                        if query < candidate
-                        else (candidate, query)
-                    )
-                    pairs.append(
-                        BlockedPair(
-                            row_a=a,
-                            row_b=b,
-                            score=float(score),
-                            metric=metric,
-                            query_row=query,
-                            rank=rank,
-                        )
-                    )
+            for metric in metrics
+        ]
+        query_row = queries[_concat([top.query for top in tops])]
+        candidate = _concat([top.row for top in tops])
+        score = _concat([top.score for top in tops], np.float64)
+        rank = _concat([top.rank for top in tops])
+        metric_ids = np.repeat(
+            np.arange(len(tops), dtype=np.intp), [top.row.size for top in tops]
+        )
+        keep = _first_wins(self._pair_keys(query_row, candidate))
+        query_row, candidate = query_row[keep], candidate[keep]
         return BlockedPairSet(
             self,
-            pairs,
+            row_a=np.minimum(query_row, candidate),
+            row_b=np.maximum(query_row, candidate),
+            score=score[keep],
+            metric_id=metric_ids[keep],
+            query_row=query_row,
+            rank=rank[keep],
             k=k,
             metrics=tuple(metrics),
             n_queries=int(queries.size),

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.blocking.candidates import BlockedPair, BlockedPairSet, CandidateBlocker
+from repro.blocking.candidates import BlockedPairSet, CandidateBlocker
 from repro.core.benchmark import WDCProductsBenchmark
 from repro.core.datasets import LabeledPair, MulticlassDataset, PairDataset
 from repro.core.dimensions import CornerCaseRatio, DevSetSize, UnseenRatio
@@ -409,23 +409,58 @@ def _populate_db(connection: sqlite3.Connection, artifacts) -> None:
         )
 
     if artifacts.blocked_candidates is not None:
-        connection.executemany(
-            "INSERT INTO blocked_pairs VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                (
-                    position,
-                    pair.row_a,
-                    pair.row_b,
-                    pair.score,
-                    pair.metric,
-                    pair.query_row,
-                    pair.rank,
-                )
-                for position, pair in enumerate(
-                    artifacts.blocked_candidates.pairs
-                )
-            ),
-        )
+        _write_blocked_pairs(connection, artifacts.blocked_candidates)
+
+
+def _write_blocked_pairs(
+    connection: sqlite3.Connection, blocked: BlockedPairSet
+) -> None:
+    """``blocked``'s columns as ``blocked_pairs`` rows, in pair order."""
+    connection.executemany(
+        "INSERT INTO blocked_pairs VALUES (?, ?, ?, ?, ?, ?, ?)",
+        zip(
+            range(len(blocked)),
+            blocked.row_a.tolist(),
+            blocked.row_b.tolist(),
+            blocked.score.tolist(),
+            blocked.metric_labels().tolist(),
+            blocked.query_row.tolist(),
+            blocked.rank.tolist(),
+        ),
+    )
+
+
+def _read_blocked_pairs(
+    connection: sqlite3.Connection,
+    blocker: CandidateBlocker,
+    *,
+    k: int,
+    metrics: tuple[str, ...],
+    n_queries: int,
+) -> BlockedPairSet:
+    """The ``blocked_pairs`` table as columns bound to ``blocker``."""
+    rows = connection.execute(
+        "SELECT row_a, row_b, score, metric, query_row, rank "
+        "FROM blocked_pairs ORDER BY position"
+    ).fetchall()
+    row_a, row_b, score, metric, query_row, rank = (
+        zip(*rows) if rows else ((),) * 6
+    )
+    metric_names = tuple(dict.fromkeys((*metrics, *metric)))
+    metric_ids = {name: index for index, name in enumerate(metric_names)}
+    return BlockedPairSet(
+        blocker,
+        row_a=row_a,
+        row_b=row_b,
+        score=score,
+        metric_id=[metric_ids[name] for name in metric],
+        query_row=query_row,
+        rank=rank,
+        k=k,
+        metrics=metrics,
+        n_queries=n_queries,
+        metric_names=metric_names,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -1118,18 +1153,9 @@ class StoredShard:
             offers=offers,
             group_labels=[offer.cluster_id for offer in offers],
         )
-        # Columns in BlockedPair field order: positional construction
-        # halves the cost of a keyword call per pair.
-        pairs = [
-            BlockedPair(*row)
-            for row in self._connection.execute(
-                "SELECT row_a, row_b, score, metric, query_row, rank "
-                "FROM blocked_pairs ORDER BY position"
-            )
-        ]
-        return BlockedPairSet(
+        return _read_blocked_pairs(
+            self._connection,
             blocker,
-            pairs,
             k=info["k"],
             metrics=tuple(info["metrics"]),
             n_queries=info["n_queries"],

@@ -169,42 +169,60 @@ def _blocked_rows(
     shard_of_row: np.ndarray | int,
     offers: dict[str, ProductOffer],
 ) -> Iterator[tuple]:
-    """Yield ``blocked``'s pairs (already namespaced) as merged rows.
+    """``blocked``'s pairs (already namespaced) as merged rows.
 
     ``shard_of_row`` maps engine rows to shard ids — a scalar for a
     within-shard set, the partition array for a cross-shard sweep.  Each
     row is ``(key_a, key_b, offer_a, offer_b, label, score, metric,
     provenance)``: the canonical unordered offer-id key, then the stored
-    fields.  Every offer a row names lands in ``offers`` on first sight.
+    fields.  The columns are built with array ops over the set's columns;
+    provenance is a lookup of one tag per (query shard, candidate shard,
+    metric) combination present.  Every offer a row names lands in
+    ``offers`` on first sight (row order, ``offer_a`` before ``offer_b``).
     """
-    row_offers = blocked.blocker.offers
-    labels = blocked.blocker.group_labels
-    if row_offers is None or labels is None:
+    blocker = blocked.blocker
+    row_offers = blocker.offers
+    if row_offers is None or blocker.group_labels is None:
         raise ValueError("merging needs blockers built with offers and labels")
-    ids = blocked.blocker.offer_ids
-    if isinstance(shard_of_row, int):
-        shard_of_row = [shard_of_row] * len(ids)
-    else:
-        shard_of_row = shard_of_row.tolist()
-    for pair in blocked.pairs:
-        row_a, row_b, query = pair.row_a, pair.row_b, pair.query_row
-        a, b = ids[row_a], ids[row_b]
-        offers.setdefault(a, row_offers[row_a])
-        offers.setdefault(b, row_offers[row_b])
-        candidate = row_b if row_a == query else row_a
-        key_a, key_b = (a, b) if a <= b else (b, a)
-        yield (
-            key_a,
-            key_b,
-            a,
-            b,
-            int(labels[row_a] == labels[row_b]),
-            pair.score,
-            pair.metric,
+    ids = np.array(blocker.offer_ids, dtype=object)
+    row_a, row_b, query = blocked.row_a, blocked.row_b, blocked.query_row
+    named = np.column_stack((row_a, row_b)).ravel()
+    _, seen = np.unique(named, return_index=True)
+    for row in named[np.sort(seen)].tolist():
+        offers.setdefault(ids[row], row_offers[row])
+    a, b = ids[row_a], ids[row_b]
+    swap = a > b
+    shards = np.broadcast_to(
+        np.asarray(shard_of_row, dtype=np.intp), ids.shape
+    )
+    query_shard = shards[query]
+    candidate_shard = shards[np.where(row_a == query, row_b, row_a)]
+    names = blocked.metric_names
+    combo = (
+        query_shard * (int(shards.max(initial=0)) + 1) + candidate_shard
+    ) * len(names) + blocked.metric_id
+    _, first, tag_of_pair = np.unique(
+        combo, return_index=True, return_inverse=True
+    )
+    tags = np.array(
+        [
             provenance_tag(
-                shard_of_row[query], shard_of_row[candidate], pair.metric
-            ),
-        )
+                query_shard[pair], candidate_shard[pair], names[metric]
+            )
+            for pair, metric in zip(first, blocked.metric_id[first].tolist())
+        ],
+        dtype=object,
+    )
+    return zip(
+        np.where(swap, b, a).tolist(),
+        np.where(swap, a, b).tolist(),
+        a.tolist(),
+        b.tolist(),
+        blocked.labels().tolist(),
+        blocked.score.tolist(),
+        blocked.metric_labels().tolist(),
+        tags[tag_of_pair].tolist(),
+    )
 
 
 def _merged_rows(

@@ -688,14 +688,9 @@ class ShardedBenchmarkSession:
             # The worker's pairs index engine rows, which the namespaced
             # universe shares with the worker's blocker: re-wrap as is.
             with Timer() as timer:
-                blocked = artifacts.blocked_candidates
                 joins.append(
-                    BlockedPairSet(
-                        universe.blocker(),
-                        blocked.pairs,
-                        k=blocked.k,
-                        metrics=blocked.metrics,
-                        n_queries=blocked.n_queries,
+                    replace(
+                        artifacts.blocked_candidates, blocker=universe.blocker()
                     )
                 )
             # The join's row holds the worker's blocking-stage seconds

@@ -60,6 +60,7 @@ __all__ = [
     "BoundedPairCache",
     "TOKEN_METRICS",
     "TokenTable",
+    "CanonicalKeys",
     "canonical_keys",
     "generalized_jaccard_batch",
     "levenshtein_similarity_batch",
@@ -91,7 +92,10 @@ def token_incidence(
     the next id in first-seen order (``vocabulary`` is extended in
     place); without it the token is left out of the matrix but still
     counts toward its row's set size, as an out-of-vocabulary query
-    token should.  ``width`` defaults to the vocabulary size (at least 1).
+    token should.  ``width`` defaults to the vocabulary size (at least 1);
+    a known token whose id is ``>= width`` counts as out of vocabulary
+    too (an engine view keeps its creation-time width while its root's
+    shared vocabulary grows).
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -102,6 +106,8 @@ def token_incidence(
                 if not grow:
                     continue
                 col = vocabulary[token] = len(vocabulary)
+            elif width is not None and col >= width:
+                continue
             rows.append(row)
             cols.append(col)
     matrix = csr_matrix(
@@ -113,15 +119,30 @@ def token_incidence(
     return matrix, sizes
 
 
+class CanonicalKeys(dict):
+    """``frozenset(tokens) -> id`` map that carries its next free id.
+
+    The next id is found once, when the map is built; from then on
+    :func:`canonical_keys` keeps it current, so assigning ids to a delta
+    costs O(delta) instead of a scan over every known set.
+    """
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.next_key = max(self.values(), default=-1) + 1
+
+
 def canonical_keys(
-    token_sets: Iterable[Collection[str]], canon: dict[frozenset, int]
+    token_sets: Iterable[Collection[str]], canon: CanonicalKeys | None = None
 ) -> np.ndarray:
     """One id per token set: equal sets share an id across calls.
 
     ``canon`` maps each known ``frozenset`` to its id and is extended in
-    place; a new set takes the next id after the largest known one.
+    place (a fresh map when omitted); a new set takes its next free id.
     """
-    next_key = max(canon.values(), default=-1) + 1
+    if canon is None:
+        canon = CanonicalKeys()
+    next_key = canon.next_key
     keys: list[int] = []
     for tokens in token_sets:
         frozen = frozenset(tokens)
@@ -130,6 +151,7 @@ def canonical_keys(
             key = canon[frozen] = next_key
             next_key += 1
         keys.append(key)
+    canon.next_key = next_key
     return np.array(keys, dtype=np.intp)
 
 
@@ -727,7 +749,7 @@ def generalized_jaccard_batch(
     if table is None:
         sets = [_as_token_set(value) for value in (*lefts, *rights)]
         if keys is None:
-            ids = canonical_keys(sets, {})
+            ids = canonical_keys(sets)
             keys = (ids[:n], ids[n:])
         vocabulary: dict[str, int] = {}
         indices = np.fromiter(

@@ -15,7 +15,7 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.blocking import BlockedPair, BlockedPairSet, CandidateBlocker
+from repro.blocking import BlockedPairSet, CandidateBlocker
 from repro.corpus.schema import ProductOffer
 from repro.errors import StoreError
 from repro.shard import (
@@ -43,9 +43,15 @@ def _blocker(rows):
 
 
 def _blocked(blocker, pairs):
+    row_a, row_b, score, metric, query_row, rank = zip(*pairs)
     return BlockedPairSet(
         blocker,
-        [BlockedPair(*pair) for pair in pairs],
+        row_a=row_a,
+        row_b=row_b,
+        score=score,
+        metric_id=[METRICS.index(name) for name in metric],
+        query_row=query_row,
+        rank=rank,
         k=K,
         metrics=METRICS,
         n_queries=len(blocker),

@@ -87,6 +87,16 @@ class TestAppendParity:
         rows = live.append(["soniq pro max"])
         assert live._token_keys[rows[0]] == live._token_keys[0]
 
+    def test_append_chain_keys_equal_cold_build(self):
+        titles = _titles(40, seed=5)
+        titles += titles[:6]  # duplicates across the chain
+        live = SimilarityEngine(titles[:10])
+        for start in range(10, len(titles), 7):
+            live.append(titles[start : start + 7])
+        live.retire([3, 17])
+        cold = SimilarityEngine(titles)
+        assert live._token_keys.tolist() == cold._token_keys.tolist()
+
 
 class TestRetireParity:
     def test_mixed_deltas_equal_cold_build(self):

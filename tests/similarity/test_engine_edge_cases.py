@@ -13,9 +13,14 @@ empty-pair value (0.0 outside the prefilter, 1.0 when rescored exactly)
 is pinned.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.similarity import engine as engine_module
 from repro.similarity.engine import SimilarityEngine
 from repro.similarity.token_based import (
     cosine_similarity,
@@ -195,3 +200,57 @@ def test_gj_prefilter_one_rescores_one_empty_pair_per_query():
         # At most one exact 1.0 per query; the rest is the 0.0 fallback.
         assert ((empty_pairs == 1.0).sum(axis=1) <= 1).all()
         assert ((empty_pairs == 0.0).sum(axis=1) >= len(EMPTY_ROWS) - 1).all()
+
+
+@st.composite
+def score_blocks(draw):
+    """Score blocks with frequent ties, wide ``-inf`` masks and all-``-inf``
+    rows."""
+    n_queries = draw(st.integers(min_value=1, max_value=12))
+    width = draw(st.integers(min_value=1, max_value=10))
+    values = st.sampled_from((-np.inf, 0.0, 0.25, 0.5, 1.0))
+    block = np.array(
+        [[draw(values) for _ in range(width)] for _ in range(n_queries)]
+    )
+    for row in draw(st.sets(st.integers(0, n_queries - 1))):
+        block[row] = -np.inf
+    return block, draw(st.integers(min_value=1, max_value=width + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_blocks())
+def test_block_top_k_equals_scalar_selection(case):
+    """The block-wise ``_top_k`` selects what a per-row scalar pass does."""
+    block, k = case
+    engine = SimilarityEngine(["alpha"])
+    # Chunks of 5 queries, so a block spans several selection chunks.
+    with mock.patch.object(engine_module, "_BATCH_ROWS", 5):
+        top = engine._top_k(block.shape[0], lambda rows: block[rows].copy(), k)
+    assert len(top) == block.shape[0]
+    for scores, (chosen, chosen_scores) in zip(block, top):
+        want_rows, want_scores = _expected_top_k(scores, k)
+        assert chosen == want_rows
+        assert chosen_scores.tolist() == want_scores.tolist()
+    expected_ranks = [rank for rows, _ in top for rank in range(len(rows))]
+    assert top.rank.tolist() == expected_ranks
+
+
+def test_view_treats_tokens_the_root_appended_as_out_of_vocabulary():
+    """A view keeps its creation-time columns; the root's later tokens
+    must count toward a query's size and intersect nothing."""
+    root = SimilarityEngine(["alpha beta", "gamma delta", "alpha gamma"])
+    view = root.view([0, 1])
+    root.append(["zeta eta"])
+    cold = SimilarityEngine(["alpha beta", "gamma delta"])
+    query = [{"zeta", "alpha"}]
+    for metric in METRICS:
+        np.testing.assert_array_equal(
+            view.external_scores_batch(query, metric),
+            cold.external_scores_batch(query, metric),
+        )
+        [(rows, scores)] = view.external_top_k_batch(query, metric, k=2)
+        [(cold_rows, cold_scores)] = cold.external_top_k_batch(
+            query, metric, k=2
+        )
+        assert rows == cold_rows
+        np.testing.assert_array_equal(scores, cold_scores)
